@@ -22,7 +22,8 @@ Tolerance policy (tolerances.json):
       "<bench>": {
         "<dotted.metric.path>": {"rel_tol": 0.15,
                                   "direction": "lower_is_better"},
-        "<other.path>":          {"direction": "exact"}
+        "<other.path>":          {"direction": "exact"},
+        "<ratio.path>":          {"direction": "at_most", "max": 1.10}
       }
     }
   }
@@ -33,8 +34,10 @@ plus wall clocks with wide bands). Directions:
   lower_is_better  regression when current > baseline * (1 + rel_tol*scale)
   higher_is_better regression when current < baseline * (1 - rel_tol*scale)
   exact            regression on any difference (counters, parity booleans)
+  at_most          regression when current > max, whatever the baseline
+                   (a fixed ceiling, e.g. a scaling ratio's target)
 --tolerance-scale widens every band (CI uses >1 on shared runners); it
-never affects "exact" metrics.
+never affects "exact" or "at_most" metrics.
 
 Exit codes: 0 all metrics within tolerance, 1 usage/IO/schema error,
 2 at least one regression.
@@ -89,6 +92,13 @@ def compare_metric(name, baseline, current, spec, scale):
         return result
     if direction == "exact":
         result["status"] = "ok" if current == baseline else "regression"
+        return result
+    if direction == "at_most":
+        if "max" not in spec:
+            fail(f"metric {name}: direction 'at_most' needs a 'max'")
+        result["limit"] = float(spec["max"])
+        result["status"] = ("ok" if current <= result["limit"]
+                            else "regression")
         return result
     band = rel_tol * scale
     result["rel_tol"] = rel_tol
@@ -194,6 +204,8 @@ def main():
             extra = ""
             if "change" in r:
                 extra = f"  ({r['change']:+.1%}, limit {r['limit']:.6g})"
+            elif r.get("direction") == "at_most" and "limit" in r:
+                extra = f"  (at most {r['limit']:.6g})"
             print(f"[{mark}] {bench}.{r['metric']}: "
                   f"{r['baseline']} -> {r['current']}{extra}")
 

@@ -197,10 +197,6 @@ RunConfig ParseConfigString(const std::string& text) {
        [&](const std::string& v, size_t l) {
          cfg.zorder_every = ToU64(v, l);
        }},
-      {"incremental_grid",
-       [&](const std::string& v, size_t l) {
-         cfg.incremental_grid = ToBool(v, l);
-       }},
       {"overlap_ops",
        [&](const std::string& v, size_t l) {
          cfg.overlap_ops = ToBool(v, l);

@@ -11,7 +11,6 @@
 //   simd = false                  ; vectorize the fused kernel (docs/perf.md)
 //   precision = fp64              ; fp64 | fp32 force-kernel pair math
 //   zorder_every = 0              ; re-sort agents into Z-order every N steps
-//   incremental_grid = true       ; patch the uniform grid instead of rebuilding
 //   overlap_ops = false           ; overlap mechanics and diffusion (CPU only)
 //   shards = 0                    ; spatial domain shards (docs/sharding.md); 0=off
 //   shard_balance = static        ; static | adaptive plane-range sizing
@@ -92,12 +91,6 @@ struct RunConfig {
   /// Re-sort agents into Z-order every N steps on the CPU pipeline
   /// (0 = never). Cache-locality knob; permutes rows uid-stably.
   uint64_t zorder_every = 0;
-  /// Maintain the uniform grid incrementally: re-bin only agents that
-  /// crossed a box boundary, falling back to a full rebuild whenever the
-  /// grid shape/bounds/population changed. Byte-identical results
-  /// (Param::incremental_grid) — the knob only trades speed, kept here so
-  /// the CI determinism sweep can exercise both paths.
-  bool incremental_grid = true;
   /// Overlap mechanics and diffusion as a two-node task graph
   /// (Param::overlap_ops). CPU backend only; bitwise-neutral; no-op
   /// without a substance grid.

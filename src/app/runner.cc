@@ -48,7 +48,6 @@ obs::json::Value ConfigJson(const RunConfig& cfg) {
   v.Set("simd", cfg.simd);
   v.Set("precision", cfg.precision);
   v.Set("zorder_every", cfg.zorder_every);
-  v.Set("incremental_grid", cfg.incremental_grid);
   v.Set("overlap_ops", cfg.overlap_ops);
   if (cfg.shards > 0) {
     v.Set("shards", cfg.shards);
@@ -156,7 +155,6 @@ std::unique_ptr<Simulation> BuildSimulation(const RunConfig& cfg) {
   param.precision =
       cfg.precision == "fp32" ? Precision::kFp32 : Precision::kFp64;
   param.zorder_cadence = static_cast<uint32_t>(cfg.zorder_every);
-  param.incremental_grid = cfg.incremental_grid;
   param.overlap_ops = cfg.overlap_ops;
   param.num_shards = cfg.shards;
   param.shard_balance = cfg.shard_balance == "adaptive"
@@ -368,6 +366,7 @@ RunSummary ExecuteRun(const RunConfig& cfg) {
       for (uint32_t k = 0; k < srt->shards(); ++k) {
         stats[k].owned_agents = srt->owned_rows(k).size();
         stats[k].ghosts_shipped = have_ghosts ? srt->ghosts_received()[k] : 0;
+        stats[k].occupied_boxes = srt->grid(k).owned_slots();
         stats[k].first_plane = srt->partition().first_plane(k);
         stats[k].end_plane = srt->partition().end_plane(k);
       }

@@ -93,8 +93,8 @@ struct Param {
   uint32_t num_threads = 0;
 
   /// Use the fused CSR force kernel when the environment is a uniform grid
-  /// (docs/perf.md): box-by-box Morton-ordered traversal over the flattened
-  /// box_starts/box_agents layout instead of the virtual per-query callback
+  /// (docs/perf.md): slot-by-slot traversal of the grid's compacted CSR
+  /// (spatial/compact_grid.h) instead of the virtual per-query callback
   /// path. Bitwise-identical displacements by construction (the parity
   /// harness's cpu_fast backend enforces this); kd-tree and null
   /// environments always take the generic path.
@@ -116,15 +116,11 @@ struct Param {
   /// cpu_fp32 parity bound of 2e-2, mirroring the FP32 GPU rows.
   Precision precision = Precision::kFp64;
 
-  /// Maintain the uniform grid incrementally (spatial/uniform_grid.h): when
-  /// the grid geometry and population are unchanged since the previous
-  /// step, only agents that crossed a box boundary are re-binned and the
-  /// CSR is re-derived from the patched occupancy. Byte-identical to a full
-  /// rebuild by construction (property-tested in
-  /// tests/spatial/incremental_grid_test.cc), with an automatic full-rebuild
-  /// fallback when the grid shape, bounds or population changed — so this
-  /// knob only trades speed, never results. Ignored by non-grid
-  /// environments.
+  /// No-op, kept so code that sets it still compiles. It selected a patch
+  /// path of the uniform grid that re-binned only box-crossing agents; the
+  /// compacted grid (spatial/compact_grid.h) rebuilds in O(agents +
+  /// occupied boxes) every step, so no patch path exists and every Update
+  /// is a full build whatever this says.
   bool incremental_grid = true;
 
   /// Run mechanical forces and substance diffusion as a two-node task graph

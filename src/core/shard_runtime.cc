@@ -154,24 +154,24 @@ void ShardRuntime::UpdateGrids(const ResourceManager& rm, ExecMode mode) {
   if (reconfigure) {
     for (uint32_t k = 0; k < shards_; ++k) {
       grids_[k].Configure(geometry_, partition_.first_plane(k),
-                          partition_.end_plane(k));
+                          partition_.end_plane(k), /*halo=*/1, mode);
     }
     grids_configured_ = true;
     configured_geometry_ = geometry_;
     configured_begin_ = partition_.plane_begin;
   }
   const Double3* positions = rm.positions().data();
-  ParallelFor(mode, shards_, [&](size_t k) {
-    grids_[k].Update(members_[k], positions);
-  });
+  for (uint32_t k = 0; k < shards_; ++k) {
+    grids_[k].Build(members_[k].data(), members_[k].size(), positions, mode);
+  }
 }
 
 std::vector<ShardForceInput> ShardRuntime::ForceInputs() const {
   std::vector<ShardForceInput> inputs(shards_);
   for (uint32_t k = 0; k < shards_; ++k) {
     inputs[k].view = grids_[k].View();
-    inputs[k].boxes = grids_[k].owned_boxes().data();
-    inputs[k].num_boxes = grids_[k].owned_boxes().size();
+    inputs[k].num_slots = grids_[k].owned_slots();
+    inputs[k].order = grids_[k].traversal_order();
   }
   return inputs;
 }

@@ -17,7 +17,8 @@
 //                    so shard membership is canonical regardless of message
 //                    arrival order.
 //   UpdateGrids   -- each shard rebuilds its occupancy-compacted CSR
-//                    (spatial/shard_grid.h) over owned + ghost members.
+//                    (spatial/compact_grid.h: a window over its owned
+//                    planes +-1) over owned + ghost members.
 //
 // The phases run shard-parallel with a join between phases — the join IS the
 // barrier of the rank protocol (Communicator::Barrier exists for drivers
@@ -42,7 +43,7 @@
 #include "core/thread_pool.h"
 #include "physics/mechanical_forces_op.h"
 #include "spatial/grid_geometry.h"
-#include "spatial/shard_grid.h"
+#include "spatial/compact_grid.h"
 #include "spatial/shard_partition.h"
 
 namespace biosim {
@@ -78,7 +79,7 @@ class ShardRuntime {
   const std::vector<int32_t>& owned_rows(uint32_t k) const {
     return owned_rows_[k];
   }
-  const ShardGrid& grid(uint32_t k) const { return grids_[k]; }
+  const CompactGrid& grid(uint32_t k) const { return grids_[k]; }
   Communicator& communicator() { return comm_; }
   const Communicator& communicator() const { return comm_; }
 
@@ -100,7 +101,7 @@ class ShardRuntime {
 
   GridGeometry geometry_;
   ShardPartition partition_;
-  std::vector<ShardGrid> grids_;
+  std::vector<CompactGrid> grids_;
   /// Owning z-plane of each row (scratch, rebuilt by Repartition).
   std::vector<int32_t> row_plane_;
   std::vector<std::vector<int32_t>> owned_rows_;

@@ -188,6 +188,7 @@ void CollectUniformGrid(const UniformGridEnvironment& env,
   reg->GetCounter("grid/boxes")
       ->Set(static_cast<uint64_t>(nb.x) * static_cast<uint64_t>(nb.y) *
             static_cast<uint64_t>(nb.z));
+  reg->GetCounter("grid/occupied_boxes")->Set(env.occupied_boxes());
 }
 
 void CollectRuntime(MetricsRegistry* reg, int worker_threads) {
@@ -217,6 +218,7 @@ void CollectShards(const std::vector<ShardObsStats>& shards,
     const std::string prefix = "shard/" + std::to_string(k) + "/";
     reg->GetCounter(prefix + "owned_agents")->Set(s.owned_agents);
     reg->GetCounter(prefix + "ghosts_shipped")->Set(s.ghosts_shipped);
+    reg->GetCounter(prefix + "occupied_boxes")->Set(s.occupied_boxes);
     reg->GetCounter(prefix + "planes")
         ->Set(static_cast<uint64_t>(s.end_plane - s.first_plane));
     total_owned += s.owned_agents;

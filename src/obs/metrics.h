@@ -138,10 +138,11 @@ void CollectDevice(const gpusim::Device& dev, MetricsRegistry* reg);
 /// max_concentration,dropped_deposits}".
 void CollectDiffusionGrid(const DiffusionGrid& grid, MetricsRegistry* reg);
 
-/// Uniform-grid maintenance counters: "grid/{full_rebuilds,
-/// incremental_updates,rebinned_agents,boxes}". Shows whether the
-/// incremental path (Param::incremental_grid) is actually engaging and how
-/// much re-binning it does.
+/// Uniform-grid counters: "grid/{full_rebuilds,incremental_updates,
+/// rebinned_agents}" (every Update is a full build, so the last two stay
+/// 0), "grid/boxes" (the lattice) and "grid/occupied_boxes" (boxes holding
+/// an agent after the last Update: the unit the grid build and the fused
+/// force pass scale with).
 void CollectUniformGrid(const UniformGridEnvironment& env,
                         MetricsRegistry* reg);
 
@@ -161,13 +162,16 @@ void CollectPerfSession(const PerfSession* session, MetricsRegistry* reg);
 struct ShardObsStats {
   uint64_t owned_agents = 0;
   uint64_t ghosts_shipped = 0;
+  /// Occupied boxes in the shard's owned planes (its grid's owned slots);
+  /// the shards' values sum to the unsharded grid/occupied_boxes.
+  uint64_t occupied_boxes = 0;
   int32_t first_plane = 0;
   int32_t end_plane = 0;
 };
 
 /// Sharded-pipeline state: per-shard "shard/<k>/{owned_agents,
-/// ghosts_shipped,planes}" counters plus domain-wide "shard/count",
-/// "shard/migrations" and the load-imbalance gauges
+/// ghosts_shipped,occupied_boxes,planes}" counters plus domain-wide
+/// "shard/count", "shard/migrations" and the load-imbalance gauges
 /// "shard/load_imbalance_max" / "shard/load_imbalance_mean" (per-shard
 /// owned count over the perfectly balanced share; 1.0 = ideal). No-op when
 /// `shards` is empty (unsharded run).

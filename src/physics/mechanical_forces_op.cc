@@ -11,7 +11,6 @@
 #include "physics/displacement.h"
 #include "physics/interaction_force.h"
 #include "physics/simd_kernel_dispatch.h"
-#include "spatial/morton.h"
 #include "spatial/uniform_grid.h"
 
 namespace biosim {
@@ -29,12 +28,12 @@ void CheckRadiusFitsBox(double radius, double box_length) {
 }
 
 /// Flattened inputs of one scalar fused pass over one CSR view (the global
-/// grid's, or a single shard's). Mirrors detail::FusedSimdArgs; kept in this
-/// TU so the sharded and unsharded entries run the identical compiled loop.
+/// grid's, or a single shard's window). Mirrors detail::FusedSimdArgs.
 struct FusedScalarArgs {
   CsrGridView view;
-  const std::pair<uint64_t, uint32_t>* boxes = nullptr;
-  size_t num_boxes = 0;
+  /// Visit slots [0, num_slots), in `order` when it is not null.
+  size_t num_slots = 0;
+  const uint32_t* order = nullptr;
   const Double3* positions = nullptr;
   const double* diameters = nullptr;
   const double* adherences = nullptr;
@@ -51,11 +50,11 @@ struct FusedScalarArgs {
   std::atomic<size_t>* evals = nullptr;
 };
 
-/// The scalar fused kernel body, shared verbatim by ComputeDisplacementsFused
-/// and ComputeDisplacementsSharded: per box, gather the 27-block candidates
-/// once, then stream them per resident in canonical order. Writes each
-/// resident row's displacement exactly once — rows are disjoint across
-/// shards, so per-shard invocations never race or reorder any FP work.
+/// The scalar fused kernel body, run once per window: per box, gather the
+/// 27-block candidates once, then stream them per resident in canonical
+/// order. Writes each resident row's displacement exactly once — rows are
+/// disjoint across shards, so per-shard invocations never race or reorder
+/// any FP work.
 void RunFusedScalarPass(const FusedScalarArgs& a) {
   const int32_t* starts = a.view.box_starts;
   const int32_t* agents = a.view.box_agents;
@@ -67,7 +66,7 @@ void RunFusedScalarPass(const FusedScalarArgs& a) {
   const bool torus = a.torus;
   const double edge = a.edge;
 
-  ParallelForChunks(a.mode, a.num_boxes, [&](size_t begin, size_t end) {
+  ParallelForChunks(a.mode, a.num_slots, [&](size_t begin, size_t end) {
     size_t local_evals = 0;
     size_t blocks[27];
     // Per-box candidate block, gathered once and streamed by every resident
@@ -82,7 +81,7 @@ void RunFusedScalarPass(const FusedScalarArgs& a) {
     AlignedBuffer<Double3> cand_pos_buf;
     AlignedBuffer<double> cand_diam_buf;
     for (size_t bi = begin; bi < end; ++bi) {
-      const size_t b = a.boxes[bi].second;
+      const size_t b = a.order != nullptr ? a.order[bi] : bi;
       // Resolve the 3x3x3 block once per box and reuse it for every
       // resident agent — the per-query box math and torus wrapping the
       // callback path re-derives per agent.
@@ -166,12 +165,13 @@ void MechanicalForcesOp::ComputeDisplacements(const ResourceManager& rm,
     // for the uniform grid (they consume the CSR layout); kd-tree and null
     // environments fall through to the generic path below.
     if (const auto* grid = dynamic_cast<const UniformGridEnvironment*>(&env)) {
-      used_fast_path_ = true;
-      if (vector_mode) {
-        ComputeDisplacementsSimd(rm, *grid, param, mode);
-      } else {
-        ComputeDisplacementsFused(rm, *grid, param, mode);
-      }
+      // The whole lattice is one window whose slots are all owned.
+      const CompactGrid& csr = grid->csr();
+      ComputeDisplacementsSharded(rm,
+                                  {{csr.View(), csr.owned_slots(),
+                                    csr.traversal_order()}},
+                                  grid->interaction_radius(),
+                                  grid->box_length(), param, mode);
       return;
     }
     if (vector_mode) {
@@ -230,137 +230,6 @@ void MechanicalForcesOp::ComputeDisplacements(const ResourceManager& rm,
   force_evaluations_ = evals.load(std::memory_order_relaxed);
 }
 
-void MechanicalForcesOp::BuildMortonBoxes(const UniformGridEnvironment& grid,
-                                          size_t n) {
-  // Traverse boxes along the Z-curve: consecutive boxes are spatially
-  // adjacent, so their 27-neighbor blocks overlap heavily and the position
-  // rows they stream stay hot in cache (the paper's Improvement II applied
-  // to the host). Only the traversal *order* changes — each agent's own
-  // neighbor sequence is fixed by NeighborBoxesOf + ascending CSR runs — so
-  // displacements are bitwise independent of this ordering choice.
-  const int32_t* starts = grid.box_starts().data();
-  const size_t total = grid.total_boxes();
-  morton_boxes_.clear();
-  morton_boxes_.reserve(std::min(total, n));
-  for (size_t b = 0; b < total; ++b) {
-    if (starts[b + 1] > starts[b]) {
-      const Int3 c = grid.BoxCoordinatesOfIndex(b);
-      morton_boxes_.emplace_back(
-          MortonEncode(static_cast<uint32_t>(c.x), static_cast<uint32_t>(c.y),
-                       static_cast<uint32_t>(c.z)),
-          static_cast<uint32_t>(b));
-    }
-  }
-  std::sort(morton_boxes_.begin(), morton_boxes_.end());
-}
-
-namespace {
-
-/// Fill the non-view fields of a FusedScalarArgs from the SoA arrays and
-/// parameters (shared by the unsharded and sharded scalar entries).
-FusedScalarArgs MakeScalarArgs(const ResourceManager& rm, const Param& param,
-                               ForceLaw law, double radius, ExecMode mode,
-                               Double3* displacements,
-                               std::atomic<size_t>* evals) {
-  FusedScalarArgs a;
-  a.positions = rm.positions().data();
-  a.diameters = rm.diameters().data();
-  a.adherences = rm.adherences().data();
-  a.tractor = rm.tractor_forces().data();
-  a.fp = ForceParams<double>{param.repulsion_coefficient,
-                             param.attraction_coefficient};
-  a.law = law;
-  a.dt = param.simulation_time_step;
-  a.max_disp = param.simulation_max_displacement;
-  a.r2 = radius * radius;
-  a.torus = param.EffectiveBoundary() == BoundaryMode::kTorus;
-  a.edge = param.SpaceEdge();
-  a.mode = mode;
-  a.displacements = displacements;
-  a.evals = evals;
-  return a;
-}
-
-}  // namespace
-
-void MechanicalForcesOp::ComputeDisplacementsFused(
-    const ResourceManager& rm, const UniformGridEnvironment& grid,
-    const Param& param, ExecMode mode) {
-  const size_t n = rm.size();
-  displacements_.assign(n, Double3{});
-  if (n == 0) {
-    force_evaluations_ = 0;
-    return;
-  }
-  CheckRadiusFitsBox(grid.interaction_radius(), grid.box_length());
-
-  BuildMortonBoxes(grid, n);
-
-  std::atomic<size_t> evals{0};
-  FusedScalarArgs args =
-      MakeScalarArgs(rm, param, force_law_, grid.interaction_radius(), mode,
-                     displacements_.data(), &evals);
-  args.view = MakeCsrGridView(grid);
-  args.boxes = morton_boxes_.data();
-  args.num_boxes = morton_boxes_.size();
-  RunFusedScalarPass(args);
-
-  force_evaluations_ = evals.load(std::memory_order_relaxed);
-}
-
-void MechanicalForcesOp::ComputeDisplacementsSimd(
-    const ResourceManager& rm, const UniformGridEnvironment& grid,
-    const Param& param, ExecMode mode) {
-  const size_t n = rm.size();
-  displacements_.assign(n, Double3{});
-  if (n == 0) {
-    force_evaluations_ = 0;
-    return;
-  }
-  CheckRadiusFitsBox(grid.interaction_radius(), grid.box_length());
-
-  BuildMortonBoxes(grid, n);
-
-  const double radius = grid.interaction_radius();
-  std::atomic<size_t> evals{0};
-
-  detail::FusedSimdArgs args;
-  args.positions = rm.positions().data();
-  args.diameters = rm.diameters().data();
-  args.tractor = rm.tractor_forces().data();
-  args.view = MakeCsrGridView(grid);
-  args.boxes = morton_boxes_.data();
-  args.num_boxes = morton_boxes_.size();
-  args.law = force_law_;
-  args.repulsion = param.repulsion_coefficient;
-  args.attraction = param.attraction_coefficient;
-  args.r2 = radius * radius;
-  args.torus = param.EffectiveBoundary() == BoundaryMode::kTorus;
-  args.edge = param.SpaceEdge();
-  args.mode = mode;
-  args.out_forces = displacements_.data();
-  args.force_evaluations = &evals;
-
-  // Function-pointer dispatch happens once per pass, outside the hot-loop
-  // markers; WidthModeFromEnv is re-read per pass so tests can flip
-  // BIOSIM_SIMD in-process.
-  const detail::FusedSimdKernelFn kernel = detail::SelectFusedSimdKernel(
-      param.precision == Precision::kFp32, simd::WidthModeFromEnv());
-  kernel(args);
-
-  // Force -> displacement epilogue, in this baseline-compiled TU (see
-  // FusedSimdArgs): elementwise, so chunking cannot reorder any FP work.
-  const double* adherences = rm.adherences().data();
-  const double dt = param.simulation_time_step;
-  const double max_disp = param.simulation_max_displacement;
-  Double3* disp = displacements_.data();
-  ParallelFor(mode, n, [&](size_t i) {
-    disp[i] = ComputeDisplacement(disp[i], adherences[i], dt, max_disp);
-  });
-
-  force_evaluations_ = evals.load(std::memory_order_relaxed);
-}
-
 void MechanicalForcesOp::ComputeDisplacementsSharded(
     const ResourceManager& rm, const std::vector<ShardForceInput>& shards,
     double interaction_radius, double box_length, const Param& param,
@@ -379,17 +248,30 @@ void MechanicalForcesOp::ComputeDisplacementsSharded(
       param.cpu_simd || param.precision == Precision::kFp32;
 
   if (!vector_mode) {
-    // Scalar fused pass per shard: the shared kernel body writes the final
-    // displacement of every row resident in the shard's owned boxes. Owned
+    // Scalar fused pass per window: the shared kernel body writes the final
+    // displacement of every row resident in the window's owned boxes. Owned
     // boxes partition the global non-empty box set, so each row is written
-    // once, with the same candidate stream as the unsharded pass.
-    FusedScalarArgs args =
-        MakeScalarArgs(rm, param, force_law_, interaction_radius, mode,
-                       displacements_.data(), &evals);
+    // once, with the same candidate stream for any shard count.
+    FusedScalarArgs args;
+    args.positions = rm.positions().data();
+    args.diameters = rm.diameters().data();
+    args.adherences = rm.adherences().data();
+    args.tractor = rm.tractor_forces().data();
+    args.fp = ForceParams<double>{param.repulsion_coefficient,
+                                  param.attraction_coefficient};
+    args.law = force_law_;
+    args.dt = param.simulation_time_step;
+    args.max_disp = param.simulation_max_displacement;
+    args.r2 = interaction_radius * interaction_radius;
+    args.torus = param.EffectiveBoundary() == BoundaryMode::kTorus;
+    args.edge = param.SpaceEdge();
+    args.mode = mode;
+    args.displacements = displacements_.data();
+    args.evals = &evals;
     for (const ShardForceInput& s : shards) {
       args.view = s.view;
-      args.boxes = s.boxes;
-      args.num_boxes = s.num_boxes;
+      args.num_slots = s.num_slots;
+      args.order = s.order;
       RunFusedScalarPass(args);
     }
   } else {
@@ -415,8 +297,8 @@ void MechanicalForcesOp::ComputeDisplacementsSharded(
         param.precision == Precision::kFp32, simd::WidthModeFromEnv());
     for (const ShardForceInput& s : shards) {
       args.view = s.view;
-      args.boxes = s.boxes;
-      args.num_boxes = s.num_boxes;
+      args.num_slots = s.num_slots;
+      args.order = s.order;
       kernel(args);
     }
     const double* adherences = rm.adherences().data();

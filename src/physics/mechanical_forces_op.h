@@ -11,13 +11,14 @@
 //
 //   * generic: per-agent virtual ForEachNeighborWithinRadius with a
 //     function_ref callback — works against any Environment;
-//   * fused (param.cpu_fast_path, uniform grid only): box-by-box traversal
-//     in Morton order over the grid's CSR layout. Each box resolves its
-//     27-neighbor block once and reuses it for every resident agent, and the
-//     inner loop streams contiguous box_agents runs with no indirect calls.
-//     Bitwise-identical to the generic path: both visit each agent's
-//     neighbors in the identical canonical order (NeighborBoxesOf block
-//     order, ascending agent index within a box) and evaluate the same FP
+//   * fused (param.cpu_fast_path, uniform grid only): slot-by-slot
+//     traversal of the grid's occupancy-compacted CSR (spatial/
+//     compact_grid.h). Each occupied box resolves its 27-neighbor block
+//     once and reuses it for every resident agent, and the inner loop
+//     streams contiguous runs with no indirect calls. Bitwise-identical to
+//     the generic path: both visit each agent's neighbors in the identical
+//     canonical order (GridGeometry::ForEachNeighborCoord block order,
+//     ascending agent index within a box) and evaluate the same FP
 //     expressions on them;
 //   * SIMD (param.cpu_simd and/or Precision::kFp32, uniform grid only):
 //     the fused traversal with the per-agent candidate sweep vectorized
@@ -28,11 +29,16 @@
 //     bitwise independent of the dispatched vector width, the worker
 //     count, and the run (docs/determinism.md, parity rows cpu_simd /
 //     cpu_fp32).
+//
+// The unsharded grid and every spatial shard are windows of the same
+// compacted CSR, so the fused and SIMD paths have one entry
+// (ComputeDisplacementsSharded) that the unsharded step calls with a single
+// window.
 #ifndef BIOSIM_PHYSICS_MECHANICAL_FORCES_OP_H_
 #define BIOSIM_PHYSICS_MECHANICAL_FORCES_OP_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/param.h"
@@ -44,17 +50,17 @@
 
 namespace biosim {
 
-class UniformGridEnvironment;
-
-/// One spatial shard's slice of a sharded force pass (docs/sharding.md):
-/// its occupancy-compacted CSR (owned + halo members) and the list of its
-/// owned occupied boxes as (sort key, slot) pairs. The shard runtime
-/// guarantees the owned boxes of all shards partition the global non-empty
-/// box set, so every agent row is written by exactly one shard.
+/// One window's slice of a fused force pass: its occupancy-compacted CSR
+/// (for a shard, owned + halo members; docs/sharding.md), the number of
+/// its owned slots — the pass visits slots [0, num_slots) — and the order
+/// to visit them in (CompactGrid::traversal_order; null for ascending).
+/// The shard runtime guarantees the owned boxes of all shards partition the
+/// global non-empty box set, so every agent row is written by exactly one
+/// window.
 struct ShardForceInput {
   CsrGridView view;
-  const std::pair<uint64_t, uint32_t>* boxes = nullptr;
-  size_t num_boxes = 0;
+  size_t num_slots = 0;
+  const uint32_t* order = nullptr;
 };
 
 class MechanicalForcesOp {
@@ -77,8 +83,9 @@ class MechanicalForcesOp {
   void ApplyDisplacements(ResourceManager& rm, const Param& param,
                           ExecMode mode);
 
-  /// Sharded twin of ComputeDisplacements: run the fused (or SIMD) pass once
-  /// per shard over that shard's CSR view and owned boxes. Each owned box
+  /// The fused (or SIMD) pass, run once per window over that window's CSR
+  /// view and owned slots; ComputeDisplacements calls it with the global
+  /// grid as the one window. Each owned box
   /// presents the identical candidate sequence the global grid would (the
   /// halo exchange ships every agent within one box of a shard face), and
   /// each agent row is owned by exactly one shard, so the displacement
@@ -108,28 +115,10 @@ class MechanicalForcesOp {
   bool last_used_fast_path() const { return used_fast_path_; }
 
  private:
-  /// The fused fast path: requires an up-to-date uniform grid.
-  void ComputeDisplacementsFused(const ResourceManager& rm,
-                                 const UniformGridEnvironment& grid,
-                                 const Param& param, ExecMode mode);
-
-  /// The vectorized fused path (and FP32 mode); dispatches to the widest
-  /// kernel the CPU supports unless BIOSIM_SIMD=scalar narrows it.
-  void ComputeDisplacementsSimd(const ResourceManager& rm,
-                                const UniformGridEnvironment& grid,
-                                const Param& param, ExecMode mode);
-
-  /// Rebuild morton_boxes_ (the shared fused traversal order) for the
-  /// grid's current non-empty boxes.
-  void BuildMortonBoxes(const UniformGridEnvironment& grid, size_t n);
-
   ForceLaw force_law_;
   std::vector<Double3> displacements_;
   size_t force_evaluations_ = 0;
   bool used_fast_path_ = false;
-  /// Scratch reused across steps by the fused paths: non-empty boxes sorted
-  /// by the Morton code of their coordinates.
-  std::vector<std::pair<uint64_t, uint32_t>> morton_boxes_;
 };
 
 }  // namespace biosim

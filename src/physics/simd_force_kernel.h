@@ -1,7 +1,7 @@
 // Width-agnostic SIMD instantiation of the fused CSR force kernel.
 //
-// Same traversal as MechanicalForcesOp::ComputeDisplacementsFused
-// (docs/perf.md): Morton-ordered walk over the non-empty boxes, one
+// Same traversal as the scalar fused pass in physics/mechanical_forces_op.cc
+// (docs/perf.md): a walk over the compacted grid's occupied slots, one
 // 27-neighbor candidate gather per box, one sweep over the gathered
 // stream per resident agent. What changes is the gather layout and the
 // sweep:
@@ -76,16 +76,16 @@ struct FusedSimdArgs {
   const Double3* positions = nullptr;
   const double* diameters = nullptr;
   const Double3* tractor = nullptr;
-  /// CSR layout + neighbor-slot resolver: the global grid's, or one spatial
-  /// shard's occupancy-compacted CSR (spatial/csr_grid_view.h). Both present
-  /// each box's candidates in the identical canonical order, so the kernel
-  /// body is shared bit-for-bit.
+  /// CSR layout + neighbor-slot resolver of one window of the compacted
+  /// grid (the whole lattice, or one spatial shard; spatial/
+  /// compact_grid.h). Every window presents each box's candidates in the
+  /// identical canonical order, so the kernel body is shared bit-for-bit.
   CsrGridView view;
-  /// Non-empty boxes as (sort key, slot) pairs, in traversal order (Morton
-  /// for the global grid; traversal order never affects any box's own
-  /// candidate sequence, so it is bitwise-free).
-  const std::pair<uint64_t, uint32_t>* boxes = nullptr;
-  size_t num_boxes = 0;
+  /// Visit slots [0, num_slots) — the window's owned occupied boxes — in
+  /// `order` when it is not null. The visit order never affects any box's
+  /// own candidate sequence.
+  size_t num_slots = 0;
+  const uint32_t* order = nullptr;
   ForceLaw law = ForceLaw::kCortex3D;
   double repulsion = 0.0;
   double attraction = 0.0;
@@ -128,7 +128,7 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
   const bool hertz = a.law == ForceLaw::kHertz;
   const bool torus = a.torus;
 
-  ParallelForChunks(a.mode, a.num_boxes, [&](size_t begin, size_t end) {
+  ParallelForChunks(a.mode, a.num_slots, [&](size_t begin, size_t end) {
     // Per-chunk gather scratch; uninitialized capacity-managed storage,
     // overwritten for every box (core/aligned_buffer.h).
     AlignedBuffer<T> xs_buf;
@@ -142,7 +142,7 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
     size_t blocks[27];
 
     for (size_t bi = begin; bi < end; ++bi) {
-      const size_t b = a.boxes[bi].second;
+      const size_t b = a.order != nullptr ? a.order[bi] : bi;
       const int block_count = a.view.neighbor_slots(
           a.view.self, static_cast<uint32_t>(b), blocks);
       size_t cand_n = 0;

@@ -7,8 +7,9 @@
 // members with the same lattice the unsharded grid would use, which is what
 // makes the per-shard CSR runs byte-identical to the global grid's runs
 // (docs/sharding.md). Deriving it twice from two copies of the same code
-// would invite bit-level drift; both the environment and ShardGrid call
-// Derive() and the shared coordinate helpers below.
+// would invite bit-level drift; both the environment and the shard runtime
+// call Derive(), and the compacted grid (spatial/compact_grid.h) bins with
+// the shared coordinate helpers below.
 //
 // Everything here is pure integer/FP-comparison logic on the lattice — no
 // agent state, no CSR — so sharing it cannot change any force bits.
@@ -112,25 +113,31 @@ struct GridGeometry {
   /// their FP accumulation orders — are identical by construction.
   template <typename Fn>
   void ForEachNeighborCoord(const Int3& c, Fn&& fn) const {
+    // Offsets are within [-1, 1], so a torus wrap is one add or subtract
+    // (no integer division: this runs 27 times per occupied box). Returns
+    // -1 past an open face.
+    auto wrap = [&](int32_t v, int32_t n) {
+      if (v < 0) {
+        return torus ? v + n : -1;
+      }
+      if (v >= n) {
+        return torus ? v - n : -1;
+      }
+      return v;
+    };
     for (int32_t dz = off_lo[2]; dz <= off_hi[2]; ++dz) {
-      int32_t z = c.z + dz;
-      if (torus) {
-        z = (z + num_boxes_axis.z) % num_boxes_axis.z;
-      } else if (z < 0 || z >= num_boxes_axis.z) {
+      const int32_t z = wrap(c.z + dz, num_boxes_axis.z);
+      if (z < 0) {
         continue;
       }
       for (int32_t dy = off_lo[1]; dy <= off_hi[1]; ++dy) {
-        int32_t y = c.y + dy;
-        if (torus) {
-          y = (y + num_boxes_axis.y) % num_boxes_axis.y;
-        } else if (y < 0 || y >= num_boxes_axis.y) {
+        const int32_t y = wrap(c.y + dy, num_boxes_axis.y);
+        if (y < 0) {
           continue;
         }
         for (int32_t dx = off_lo[0]; dx <= off_hi[0]; ++dx) {
-          int32_t x = c.x + dx;
-          if (torus) {
-            x = (x + num_boxes_axis.x) % num_boxes_axis.x;
-          } else if (x < 0 || x >= num_boxes_axis.x) {
+          const int32_t x = wrap(c.x + dx, num_boxes_axis.x);
+          if (x < 0) {
             continue;
           }
           fn(Int3{x, y, z});

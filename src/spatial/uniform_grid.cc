@@ -1,314 +1,27 @@
 #include "spatial/uniform_grid.h"
 
 #include <algorithm>
-#include <cmath>
-#include <iterator>
-#include <limits>
-#include <map>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
-#include "core/analysis.h"
 #include "physics/displacement.h"
 
 namespace biosim {
 
-namespace {
-
-// Atomic vectors cannot be resized through assign(); rebuild in place.
-void ResetAtomicVector(std::vector<std::atomic<int32_t>>& v, size_t n,
-                       int32_t value, ExecMode mode) {
-  if (v.size() != n) {
-    std::vector<std::atomic<int32_t>> fresh(n);
-    v.swap(fresh);
-  }
-  ParallelFor(mode, n, [&](size_t i) {
-    v[i].store(value, std::memory_order_relaxed);
-  });
-}
-
-}  // namespace
-
 void UniformGridEnvironment::Update(const ResourceManager& rm,
                                     const Param& param, ExecMode mode) {
-  size_t n = rm.size();
-  CheckCsrAgentCount(n);
-
-  // Candidate geometry in a local: geometry_ is only overwritten on the
-  // full-rebuild path, so the incremental gate below can compare the
-  // candidate against the live grid. Incremental maintenance is only valid
-  // when every geometric input matches EXACTLY — no snapping, no tolerance —
-  // because a box lattice that differs in any bit re-bins agents
-  // differently. (Without a torus or fixed bounds, grid_min tracks
-  // rm.Bounds() and drifts with motion, so the patch path mostly serves
-  // periodic and steady-state populations; that is the workload it is for.)
-  // Derive is the same function spatial shards bin with (grid_geometry.h).
-  GridGeometry candidate = GridGeometry::Derive(rm, param, fixed_box_length_);
-  interaction_radius_ = candidate.interaction_radius;
-
-  if (n == 0) {
-    geometry_ = candidate;
-    ResetAtomicVector(box_start_, 1, kEmpty, mode);
-    ResetAtomicVector(box_count_, 1, 0, mode);
-    successors_.clear();
-    box_starts_.assign(2, 0);
-    box_agents_.clear();
-    agent_box_.clear();
-    ++update_stats_.full_rebuilds;
-    return;
+  GridGeometry geometry = GridGeometry::Derive(rm, param, fixed_box_length_);
+  // The window is reconfigured only when the lattice moved (always on a
+  // growing open domain, never on a torus or fixed bounds).
+  if (!configured_ || !geometry.SameLattice(geometry_)) {
+    csr_.Configure(geometry, 0, geometry.num_boxes_axis.z, /*halo=*/0,
+                    mode);
+    configured_ = true;
   }
-
-  const bool same_geometry =
-      n == agent_box_.size() && candidate.SameLattice(geometry_);
-  if (param.incremental_grid && same_geometry &&
-      TryIncrementalUpdate(rm, mode)) {
-    ++update_stats_.incremental_updates;
-    return;
-  }
-
+  geometry_ = geometry;
+  interaction_radius_ = geometry.interaction_radius;
+  csr_.Build(nullptr, rm.size(), rm.positions().data(), mode);
   ++update_stats_.full_rebuilds;
-  geometry_ = candidate;
-
-  size_t total = geometry_.TotalBoxes();
-
-  ResetAtomicVector(box_start_, total, kEmpty, mode);
-  ResetAtomicVector(box_count_, total, 0, mode);
-  successors_.resize(n);
-  agent_box_.resize(n);
-
-  // Parallel insert: each agent atomically pushes itself onto its box's
-  // linked list. The resulting per-box order depends on thread interleaving;
-  // the canonicalization pass below rewrites every chain into ascending
-  // agent index so traversal order is identical for any interleaving, any
-  // thread count, and serial vs parallel builds. MechanicalForcesOp
-  // accumulates forces in traversal order, so this is what makes CPU
-  // trajectories bitwise reproducible (FP addition is not associative).
-  // Each agent's box is also recorded for the next Update's mover diff.
-  const auto& pos = rm.positions();
-  ParallelFor(mode, n, [&](size_t i) {
-    size_t b = BoxIndexOf(pos[i]);
-    agent_box_[i] = static_cast<int32_t>(b);
-    int32_t prev = box_start_[b].exchange(static_cast<int32_t>(i),
-                                          std::memory_order_relaxed);
-    successors_[i] = prev;
-    box_count_[b].fetch_add(1, std::memory_order_relaxed);
-  });
-
-  // Canonicalize: sort each box's chain ascending. Boxes touch disjoint
-  // successors_ entries (an agent lives in exactly one box), so the pass
-  // parallelizes over boxes without synchronization. Chains of length 0/1
-  // are already canonical and skipped.
-  ParallelFor(mode, total, [&](size_t b) {
-    int32_t head = box_start_[b].load(std::memory_order_relaxed);
-    if (head == kEmpty || successors_[head] == kEmpty) {
-      return;
-    }
-    thread_local std::vector<int32_t> chain;
-    chain.clear();
-    for (int32_t j = head; j != kEmpty; j = successors_[j]) {
-      chain.push_back(j);
-    }
-    std::sort(chain.begin(), chain.end());
-    box_start_[b].store(chain.front(), std::memory_order_relaxed);
-    for (size_t k = 0; k + 1 < chain.size(); ++k) {
-      successors_[chain[k]] = chain[k + 1];
-    }
-    successors_[chain.back()] = kEmpty;
-  });
-
-  // CSR flatten: exclusive scan of box occupancy, then each canonical chain
-  // written into its contiguous run. Chains are already ascending, so every
-  // run is ascending and the CSR traversal order equals the chain traversal
-  // order. The scan is a serial O(total) stream (deterministic and cheap:
-  // one add per box); the fill parallelizes over boxes, which own disjoint
-  // runs.
-  box_starts_.resize(total + 1);
-  int32_t running = 0;
-  for (size_t b = 0; b < total; ++b) {
-    box_starts_[b] = running;
-    running += box_count_[b].load(std::memory_order_relaxed);
-  }
-  box_starts_[total] = running;
-  box_agents_.resize(n);
-  ParallelFor(mode, total, [&](size_t b) {
-    int32_t w = box_starts_[b];
-    for (int32_t j = box_start_[b].load(std::memory_order_relaxed);
-         j != kEmpty; j = successors_[j]) {
-      box_agents_[w++] = j;
-    }
-  });
-}
-
-bool UniformGridEnvironment::TryIncrementalUpdate(const ResourceManager& rm,
-                                                  ExecMode mode) {
-  const size_t n = rm.size();
-  const auto& pos = rm.positions();
-
-  // 1) Mover detection, merged in chunk order. ParallelForChunks hands out
-  // contiguous ascending index ranges, so concatenating the per-chunk lists
-  // by begin yields every box-crosser in ascending agent order — the
-  // canonical order all the membership deltas below inherit. agent_box_ is
-  // only read here; it is patched after the fallback decision so a rejected
-  // attempt leaves every structure untouched.
-  struct Move {
-    int32_t agent;
-    int32_t from;
-    int32_t to;
-  };
-  Mutex merge_mutex;
-  std::vector<std::pair<size_t, std::vector<Move>>> chunks;
-  ParallelForChunks(mode, n, [&](size_t begin, size_t end) {
-    std::vector<Move> local;
-    for (size_t i = begin; i < end; ++i) {
-      int32_t to = static_cast<int32_t>(BoxIndexOf(pos[i]));
-      if (to != agent_box_[i]) {
-        local.push_back({static_cast<int32_t>(i), agent_box_[i], to});
-      }
-    }
-    if (!local.empty()) {
-      MutexLock lock(merge_mutex);
-      chunks.emplace_back(begin, std::move(local));
-    }
-  });
-  if (chunks.empty()) {
-    return true;  // no box boundary crossed: the grid is already exact
-  }
-  std::sort(chunks.begin(), chunks.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  size_t movers = 0;
-  for (const auto& [begin, moves] : chunks) {
-    (void)begin;
-    movers += moves.size();
-  }
-  if (movers > n / 2) {
-    // Patching cost approaches a rebuild's; let the caller rebuild. Either
-    // path produces identical bytes, so the threshold is purely a cost
-    // heuristic — it cannot change any result.
-    return false;
-  }
-  update_stats_.rebinned_agents += movers;
-
-  // 2) Per-box membership deltas. std::map gives the deterministic
-  // ascending-box iteration order the serial patch pass below relies on
-  // (and keeps biosim-lint's unordered-iteration rule happy); the
-  // removes/adds vectors stay ascending because movers arrive in ascending
-  // agent order.
-  struct BoxDelta {
-    std::vector<int32_t> removes;
-    std::vector<int32_t> adds;
-  };
-  std::map<size_t, BoxDelta> deltas;
-  for (auto& [begin, moves] : chunks) {
-    (void)begin;
-    for (const Move& m : moves) {
-      deltas[static_cast<size_t>(m.from)].removes.push_back(m.agent);
-      deltas[static_cast<size_t>(m.to)].adds.push_back(m.agent);
-      agent_box_[m.agent] = m.to;
-    }
-  }
-
-  // 3) Retire the live CSR into the previous-generation buffers (swap, no
-  // allocation churn): affected boxes read their old runs from there while
-  // the new arrays are rewritten below.
-  prev_box_starts_.swap(box_starts_);
-  prev_box_agents_.swap(box_agents_);
-
-  // 4) Patch each affected box: new member run = (old run minus leavers)
-  // merged with arrivals — three ascending sequences, so the result is the
-  // ascending member set a full rebuild's canonicalization would produce.
-  // The chain is rewritten to exactly those bytes (head = min, successors
-  // ascending, kEmpty terminator). Boxes own disjoint chain entries, and a
-  // mover's successors_ slot is written only by its destination box.
-  std::vector<int32_t> kept;
-  std::vector<int32_t> merged;
-  for (const auto& [b, delta] : deltas) {
-    const int32_t* old_begin = prev_box_agents_.data() + prev_box_starts_[b];
-    const int32_t* old_end = prev_box_agents_.data() + prev_box_starts_[b + 1];
-    kept.clear();
-    merged.clear();
-    std::set_difference(old_begin, old_end, delta.removes.begin(),
-                        delta.removes.end(), std::back_inserter(kept));
-    std::merge(kept.begin(), kept.end(), delta.adds.begin(), delta.adds.end(),
-               std::back_inserter(merged));
-    box_count_[b].store(static_cast<int32_t>(merged.size()),
-                        std::memory_order_relaxed);
-    if (merged.empty()) {
-      box_start_[b].store(kEmpty, std::memory_order_relaxed);
-      continue;
-    }
-    box_start_[b].store(merged.front(), std::memory_order_relaxed);
-    for (size_t k = 0; k + 1 < merged.size(); ++k) {
-      successors_[merged[k]] = merged[k + 1];
-    }
-    successors_[merged.back()] = kEmpty;
-  }
-
-  // 5) Re-derive box_starts_ from the patched occupancy with the identical
-  // serial exclusive scan the full rebuild runs — same inputs, same loop,
-  // same bytes. (A count change in one box shifts every downstream offset,
-  // so the scan cannot be localized; it is one add per box.)
-  const size_t total = box_start_.size();
-  box_starts_.resize(total + 1);
-  int32_t running = 0;
-  for (size_t b = 0; b < total; ++b) {
-    box_starts_[b] = running;
-    running += box_count_[b].load(std::memory_order_relaxed);
-  }
-  box_starts_[total] = running;
-
-  // 6) Refill box_agents_ at the shifted offsets: affected boxes walk their
-  // freshly patched chains (the same loop as the full rebuild's fill);
-  // untouched boxes bulk-copy their old run from the retired arrays. Each
-  // chunk sweeps its boxes in ascending order, so membership in the (sorted)
-  // affected list is a resumable merge walk — O(boxes + movers), not a
-  // per-box binary search. Every box_agents_ slot is written by exactly one
-  // box regardless of chunking.
-  std::vector<size_t> affected;
-  affected.reserve(deltas.size());
-  for (const auto& [b, delta] : deltas) {
-    (void)delta;
-    affected.push_back(b);
-  }
-  box_agents_.resize(n);
-  ParallelForChunks(mode, total, [&](size_t begin, size_t end) {
-    auto next = std::lower_bound(affected.begin(), affected.end(), begin);
-    for (size_t b = begin; b < end; ++b) {
-      const int32_t w = box_starts_[b];
-      if (next != affected.end() && *next == b) {
-        ++next;
-        int32_t at = w;
-        for (int32_t j = box_start_[b].load(std::memory_order_relaxed);
-             j != kEmpty; j = successors_[j]) {
-          box_agents_[at++] = j;
-        }
-      } else {
-        std::copy_n(prev_box_agents_.data() + prev_box_starts_[b],
-                    box_count_[b].load(std::memory_order_relaxed),
-                    box_agents_.data() + w);
-      }
-    }
-  });
-  return true;
-}
-
-void UniformGridEnvironment::CheckCsrAgentCount(size_t n) {
-  if (n > static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
-    throw std::length_error(
-        "UniformGridEnvironment: population " + std::to_string(n) +
-        " exceeds the 2^31-1 agents the int32 CSR offsets can address "
-        "(box_starts_/box_agents_, mirrored by the GPU offload); the "
-        "exclusive scan would silently wrap");
-  }
-}
-
-int UniformGridEnvironment::NeighborBoxesOf(const Int3& c,
-                                            size_t out[27]) const {
-  return geometry_.NeighborBoxesOf(c, out);
-}
-
-size_t UniformGridEnvironment::BoxIndexOf(const Double3& pos) const {
-  return FlatBoxIndex(BoxCoordinatesOf(pos));
 }
 
 void UniformGridEnvironment::ForEachNeighborWithinRadius(
@@ -316,9 +29,7 @@ void UniformGridEnvironment::ForEachNeighborWithinRadius(
     NeighborFn fn) const {
   if (radius > geometry_.box_length + 1e-12) {
     // Out of contract in any build type: the traversal only visits the 27
-    // surrounding boxes, so a larger radius would silently miss neighbors
-    // (previously only a debug assert; with fixed_box_length_ set, release
-    // builds dropped neighbors without a trace).
+    // surrounding boxes, so a larger radius would silently miss neighbors.
     throw std::invalid_argument(
         "UniformGridEnvironment: query radius " + std::to_string(radius) +
         " exceeds the box length " + std::to_string(geometry_.box_length) +
@@ -327,55 +38,24 @@ void UniformGridEnvironment::ForEachNeighborWithinRadius(
   const auto& pos = rm.positions();
   const Double3 q = pos[query];
   const double r2 = radius * radius;
+  const int32_t* starts = csr_.starts().data();
+  const int32_t* agents = csr_.agents().data();
 
-  // The 3x3x3 block around the query's box (Fig. 4): clamped at the domain
-  // faces normally, wrapped around them on a torus. The per-axis offset
-  // bounds and the wrap arithmetic are resolved once per query here (and
-  // once per *box* in the fused kernel), not per neighbor.
-  size_t blocks[27];
-  const int block_count = NeighborBoxesOf(BoxCoordinatesOf(q), blocks);
-  for (int k = 0; k < block_count; ++k) {
-    const size_t b = blocks[k];
-    for (int32_t j = box_start(b); j != kEmpty; j = successors_[j]) {
+  // The occupied boxes of the 3x3x3 block around the query's box (Fig. 4),
+  // canonical order: clamped at the domain faces normally, wrapped around
+  // them on a torus.
+  size_t slots[27];
+  const int slot_count = csr_.NeighborSlotsOf(BoxCoordinatesOf(q), slots);
+  for (int k = 0; k < slot_count; ++k) {
+    const int32_t end = starts[slots[k] + 1];
+    for (int32_t t = starts[slots[k]]; t < end; ++t) {
+      const int32_t j = agents[t];
       if (static_cast<AgentIndex>(j) == query) {
         continue;
       }
       double d2 = geometry_.torus
-                         ? MinImageVector(q, pos[j], geometry_.edge).SquaredNorm()
-                         : SquaredDistance(q, pos[j]);
-      if (d2 <= r2) {
-        fn(static_cast<AgentIndex>(j), d2);
-      }
-    }
-  }
-}
-
-void UniformGridEnvironment::ForEachNeighborWithinRadiusCsr(
-    AgentIndex query, const ResourceManager& rm, double radius,
-    NeighborFn fn) const {
-  if (radius > geometry_.box_length + 1e-12) {
-    throw std::invalid_argument(
-        "UniformGridEnvironment: query radius " + std::to_string(radius) +
-        " exceeds the box length " + std::to_string(geometry_.box_length) +
-        "; the uniform grid only covers the 27 surrounding boxes");
-  }
-  const auto& pos = rm.positions();
-  const Double3 q = pos[query];
-  const double r2 = radius * radius;
-
-  size_t blocks[27];
-  const int block_count = NeighborBoxesOf(BoxCoordinatesOf(q), blocks);
-  for (int k = 0; k < block_count; ++k) {
-    const size_t b = blocks[k];
-    const int32_t end = box_starts_[b + 1];
-    for (int32_t t = box_starts_[b]; t < end; ++t) {
-      const int32_t j = box_agents_[t];
-      if (static_cast<AgentIndex>(j) == query) {
-        continue;
-      }
-      double d2 = geometry_.torus
-                         ? MinImageVector(q, pos[j], geometry_.edge).SquaredNorm()
-                         : SquaredDistance(q, pos[j]);
+                      ? MinImageVector(q, pos[j], geometry_.edge).SquaredNorm()
+                      : SquaredDistance(q, pos[j]);
       if (d2 <= r2) {
         fn(static_cast<AgentIndex>(j), d2);
       }
@@ -384,17 +64,10 @@ void UniformGridEnvironment::ForEachNeighborWithinRadiusCsr(
 }
 
 double UniformGridEnvironment::MeanAgentsPerBox() const {
-  size_t occupied = 0;
-  size_t agents = 0;
-  for (size_t b = 0; b < box_count_.size(); ++b) {
-    int32_t c = box_count(b);
-    if (c > 0) {
-      ++occupied;
-      agents += static_cast<size_t>(c);
-    }
-  }
+  const size_t occupied = csr_.occupied_boxes();
   return occupied == 0 ? 0.0
-                       : static_cast<double>(agents) / static_cast<double>(occupied);
+                       : static_cast<double>(csr_.agents().size()) /
+                             static_cast<double>(occupied);
 }
 
 double UniformGridEnvironment::MeanNeighborCount(const ResourceManager& rm,

@@ -3,48 +3,32 @@
 //
 // The simulation AABB is covered by cubic boxes of edge >= the interaction
 // radius, so the neighborhood of any agent is contained in the 3x3x3 block of
-// boxes around it. Per Fig. 5, each Box stores {start, length} and agents in
-// the same box are chained through the grid-wide `successors_` linked list:
+// boxes around it. Fig. 5 stores each box as {start, length} with the
+// agents of a box chained through a grid-wide successor list, built by one
+// atomic exchange per agent; that build is what the GPU kernels run
+// (gpu/grid_build_kernels.h: ug_reset / ug_build).
 //
-//     box.start -> successors_[box.start] -> ... (length hops)
+// On the host the grid is one occupancy-compacted CSR (spatial/
+// compact_grid.h) over the whole lattice: only occupied boxes are stored,
+// each as an ascending run of agent rows, and a box->slot map resolves the
+// 27-box block. Every Update rebuilds it from scratch in
+// O(agents + occupied boxes) — bin, stable radix sort, slot fill — and
+// clears only the map entries the previous build occupied, so no step pays
+// for the empty boxes (BioDynaMo's no-full-reset grid, arXiv:2301.06984).
+// The sharded step builds the same structure per shard window.
 //
-// Insertion is one atomic exchange on box.start plus one atomic increment of
-// box.length, so the build — unlike the kd-tree's — parallelizes perfectly.
-// The same four arrays (box starts, box lengths, successors, box coordinates)
-// are what the GPU kernels consume after a single H2D copy.
-//
-// Determinism contract (docs/determinism.md): after Update(), every box chain
-// is canonicalized to ascending agent index, so ForEachNeighborWithinRadius
-// visits neighbors in an order independent of thread interleaving and of the
+// Determinism contract (docs/determinism.md): runs are ascending by agent
+// row and the 27-box block is enumerated in the canonical (dz, dy, dx)
+// order, so ForEachNeighborWithinRadius and the fused force kernels visit
+// every agent's neighbors in one order, independent of thread count and
 // serial/parallel build mode. Downstream order-sensitive reductions (force
-// accumulation in MechanicalForcesOp) are therefore bitwise reproducible
-// across runs and thread counts.
-//
-// After canonicalization the chains are additionally flattened into a CSR
-// layout (box_starts_ / box_agents_): box b's agents are the contiguous,
-// ascending run box_agents_[box_starts_[b] .. box_starts_[b+1]). The fused
-// CPU force kernel (docs/perf.md) streams these runs instead of chasing the
-// linked chains; because the flattening preserves the canonical order, both
-// traversals visit the identical (neighbor, d²) sequence.
-//
-// Incremental maintenance (docs/perf.md "Incremental grid rebuilds"): when
-// the grid geometry and population are unchanged since the previous Update,
-// only the agents that crossed a box boundary are re-binned — their boxes'
-// chains are re-canonicalized from sorted membership deltas and the CSR is
-// re-derived from the patched occupancy. Every patched structure is
-// byte-identical to what a from-scratch rebuild would produce (the chains,
-// the scan and the runs are all functions of the canonical per-box member
-// sets alone), so PR 4's bitwise determinism contract is preserved; the
-// property battery in tests/spatial/incremental_grid_test.cc compares the
-// two paths structure-by-structure under random motion.
+// accumulation in MechanicalForcesOp) are therefore bitwise reproducible.
 #ifndef BIOSIM_SPATIAL_UNIFORM_GRID_H_
 #define BIOSIM_SPATIAL_UNIFORM_GRID_H_
 
-#include <atomic>
 #include <cstdint>
-#include <vector>
 
-#include "spatial/csr_grid_view.h"
+#include "spatial/compact_grid.h"
 #include "spatial/environment.h"
 #include "spatial/grid_geometry.h"
 
@@ -52,14 +36,14 @@ namespace biosim {
 
 class UniformGridEnvironment : public Environment {
  public:
-  static constexpr int32_t kEmpty = -1;
-
   /// If `fixed_box_length` > 0, the grid always uses that box edge length
   /// instead of deriving it from the largest agent diameter (benchmark B
   /// keeps it fixed so the measured density sweep is exact).
   explicit UniformGridEnvironment(double fixed_box_length = 0.0)
       : fixed_box_length_(fixed_box_length) {}
 
+  /// Rebuild the CSR for the current positions. `param.incremental_grid` is
+  /// ignored: every Update is a full build.
   void Update(const ResourceManager& rm, const Param& param,
               ExecMode mode) override;
 
@@ -70,62 +54,25 @@ class UniformGridEnvironment : public Environment {
   double interaction_radius() const override { return interaction_radius_; }
   const char* name() const override { return "uniform-grid"; }
 
-  // --- raw grid state, consumed by the GPU offload and by tests ----------
   double box_length() const { return geometry_.box_length; }
   const Int3& num_boxes_axis() const { return geometry_.num_boxes_axis; }
-  size_t total_boxes() const { return box_start_.size(); }
+  /// Boxes in the lattice, occupied or not.
+  size_t total_boxes() const { return geometry_.TotalBoxes(); }
+  /// Boxes holding at least one agent.
+  size_t occupied_boxes() const { return csr_.occupied_boxes(); }
   const Double3& grid_min() const { return geometry_.grid_min; }
 
   /// The box lattice of the last Update (spatial/grid_geometry.h). Shards
   /// derive the identical lattice independently; tests compare the two.
   const GridGeometry& geometry() const { return geometry_; }
 
-  /// First agent in box b, or kEmpty. Chains are canonical: ascending agent
-  /// index, regardless of the build's thread interleaving.
-  int32_t box_start(size_t b) const {
-    return box_start_[b].load(std::memory_order_relaxed);
-  }
-  /// Number of agents in box b.
-  int32_t box_count(size_t b) const {
-    return box_count_[b].load(std::memory_order_relaxed);
-  }
-  const std::vector<int32_t>& successors() const { return successors_; }
+  /// The compacted CSR of the last Update: slots, ascending runs and the
+  /// box->slot map. Its slots [0, occupied_boxes()) are the force pass's
+  /// traversal range; csr().View() is what the fused kernels read.
+  const CompactGrid& csr() const { return csr_; }
 
-  // --- CSR view of the canonicalized chains ------------------------------
-  /// Exclusive prefix sum of box occupancy; size total_boxes() + 1.
-  const std::vector<int32_t>& box_starts() const { return box_starts_; }
-  /// Agent indices grouped by box, ascending within each box; size == number
-  /// of agents. Box b owns [box_starts()[b], box_starts()[b + 1]).
-  const std::vector<int32_t>& box_agents() const { return box_agents_; }
-
-  /// Flat indices of the boxes covering the 3x3x3 block around box `c`, in
-  /// the canonical (dz, dy, dx) enumeration order ForEachNeighborWithinRadius
-  /// traverses them in: clamped at the domain faces, wrapped on a torus, and
-  /// reduced on periodic axes with fewer than 3 boxes. `out` must hold 27
-  /// entries; returns the number filled. Both neighbor traversals and the
-  /// fused force kernel derive their box order from this single function, so
-  /// their FP accumulation order is identical by construction.
-  int NeighborBoxesOf(const Int3& c, size_t out[27]) const;
-
-  /// CSR-based twin of ForEachNeighborWithinRadius: visits exactly the same
-  /// (neighbor, d²) sequence, but by streaming box_agents_ runs instead of
-  /// chasing the linked chains. Tests compare the two; the fused force
-  /// kernel inlines this traversal.
-  void ForEachNeighborWithinRadiusCsr(AgentIndex query,
-                                      const ResourceManager& rm, double radius,
-                                      NeighborFn fn) const;
-
-  /// Flat box index of a position (clamped into the grid).
-  size_t BoxIndexOf(const Double3& pos) const;
   Int3 BoxCoordinatesOf(const Double3& pos) const {
     return geometry_.BoxCoordinatesOf(pos);
-  }
-  /// Inverse of FlatBoxIndex.
-  Int3 BoxCoordinatesOfIndex(size_t b) const {
-    return geometry_.BoxCoordinatesOfIndex(b);
-  }
-  size_t FlatBoxIndex(const Int3& c) const {
-    return geometry_.FlatBoxIndex(c);
   }
 
   /// Mean number of agents per non-empty box (diagnostics; benchmark B's
@@ -142,82 +89,30 @@ class UniformGridEnvironment : public Environment {
   bool is_torus() const { return geometry_.torus; }
 
   /// Cumulative Update outcomes since construction (obs exports these as
-  /// grid/* counters; the steady-state bench asserts the patched path
-  /// actually ran).
+  /// grid/* counters). Every Update is a full build, so full_rebuilds
+  /// counts Updates and the other two stay 0; they remain for the records
+  /// and reports that carry them.
   struct UpdateStats {
-    /// Updates that rebuilt every box from scratch (geometry, bounds or
-    /// population changed, the mover fraction crossed the fallback
-    /// threshold, or incremental maintenance is disabled).
+    /// Updates that built the grid from scratch.
     uint64_t full_rebuilds = 0;
-    /// Updates served by the incremental path (including no-op updates
-    /// where no agent crossed a box boundary).
+    /// Updates served by patching the previous grid (none: no patch path).
     uint64_t incremental_updates = 0;
-    /// Box-crossing agents re-binned by the incremental path.
+    /// Agents re-binned by a patch (none: no patch path).
     uint64_t rebinned_agents = 0;
   };
   const UpdateStats& update_stats() const { return update_stats_; }
 
-  /// The CSR arrays address agents with int32 offsets (the GPU offload
-  /// consumes the same layout), so the exclusive scan's running accumulator
-  /// would silently wrap past 2^31-1 agents. Throws std::length_error
-  /// beyond that; called at the top of every Update and static so the guard
-  /// path is unit-testable without allocating 2^31 agents.
-  static void CheckCsrAgentCount(size_t n);
-
  private:
-  /// Patch the existing grid for a population whose geometry is unchanged:
-  /// detect box-crossers, rewrite only their boxes' chains from sorted
-  /// membership deltas, and re-derive the CSR from the patched occupancy.
-  /// Returns false (leaving all structures untouched) when the mover
-  /// fraction makes a full rebuild cheaper; the caller then falls back.
-  bool TryIncrementalUpdate(const ResourceManager& rm, ExecMode mode);
-
   double fixed_box_length_ = 0.0;
   double interaction_radius_ = 0.0;
   // The box lattice of the last Update (edge length, origin, axis counts,
   // torus wrap, reduced offsets): derived by GridGeometry::Derive — the same
   // function every spatial shard uses, so the two can never drift.
   GridGeometry geometry_;
-
-  // Box::start and Box::length of Fig. 5, stored as parallel arrays (SoA, as
-  // everywhere else) so they copy to the device as two flat buffers.
-  std::vector<std::atomic<int32_t>> box_start_;
-  std::vector<std::atomic<int32_t>> box_count_;
-  std::vector<int32_t> successors_;
-  // CSR flattening of the canonical chains (built by Update; see box_starts()).
-  std::vector<int32_t> box_starts_;
-  std::vector<int32_t> box_agents_;
-
-  // Box of each agent row as of the previous Update (empty until the first
-  // build); the incremental path diffs current positions against this.
-  std::vector<int32_t> agent_box_;
-  // Previous-generation CSR arrays: the incremental path retires the live
-  // CSR into these (a swap, no allocation churn) so untouched boxes can
-  // copy their old runs while the new offsets are being written.
-  std::vector<int32_t> prev_box_starts_;
-  std::vector<int32_t> prev_box_agents_;
+  bool configured_ = false;
+  CompactGrid csr_;
   UpdateStats update_stats_;
 };
-
-/// CsrGridView neighbor resolver over the global grid: slot == flat box
-/// index, so the resolver is exactly NeighborBoxesOf. Pure integer code —
-/// safe to emit (and for the linker to fold) from any translation unit.
-inline int GlobalGridNeighborSlots(const void* self, uint32_t slot,
-                                   size_t out[27]) {
-  const auto* grid = static_cast<const UniformGridEnvironment*>(self);
-  return grid->NeighborBoxesOf(grid->BoxCoordinatesOfIndex(slot), out);
-}
-
-/// The fused kernels' view of the global grid (spatial/csr_grid_view.h).
-/// Valid until the next Update reallocates the CSR arrays.
-inline CsrGridView MakeCsrGridView(const UniformGridEnvironment& grid) {
-  CsrGridView v;
-  v.box_starts = grid.box_starts().data();
-  v.box_agents = grid.box_agents().data();
-  v.neighbor_slots = &GlobalGridNeighborSlots;
-  v.self = &grid;
-  return v;
-}
 
 }  // namespace biosim
 

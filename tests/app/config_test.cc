@@ -4,6 +4,8 @@
 
 #include <fstream>
 
+#include "../test_util.h"
+
 namespace biosim::app {
 namespace {
 
@@ -169,13 +171,13 @@ TEST(ConfigTest, SimdAndPrecisionKeysParseAndValidate) {
 }
 
 TEST(ConfigTest, SchedulerKnobsParseAndValidate) {
-  RunConfig cfg = ParseConfigString(
-      "[simulation]\nincremental_grid = false\noverlap_ops = true\n");
-  EXPECT_FALSE(cfg.incremental_grid);
+  RunConfig cfg = ParseConfigString("[simulation]\noverlap_ops = true\n");
   EXPECT_TRUE(cfg.overlap_ops);
-  // Defaults: incremental maintenance on (pure win), overlap opt-in.
-  EXPECT_TRUE(ParseConfigString("").incremental_grid);
+  // Default: overlap opt-in.
   EXPECT_FALSE(ParseConfigString("").overlap_ops);
+  // The grid has no patch path any more, so its knob is not a config key.
+  EXPECT_THROW(ParseConfigString("[simulation]\nincremental_grid = true\n"),
+               std::runtime_error);
   // The overlapped task graph schedules *host* ops; the simulated-GPU
   // backend runs its own pipeline.
   EXPECT_THROW(ParseConfigString(
@@ -271,7 +273,7 @@ report = report.json
 }
 
 TEST(ConfigTest, FileRoundTrip) {
-  std::string path = std::string(::testing::TempDir()) + "/cfg.ini";
+  std::string path = biosim::testutil::TestPath("cfg.ini");
   {
     std::ofstream out(path);
     out << "[simulation]\nsteps = 77\n";

@@ -9,12 +9,13 @@
 #include "core/checkpoint.h"
 #include "gpu/gpu_mechanical_op.h"
 #include "spatial/uniform_grid.h"
+#include "../test_util.h"
 
 namespace biosim::app {
 namespace {
 
 std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  return biosim::testutil::TestPath(name);
 }
 
 TEST(RunnerTest, BuildsCellDivisionModelOnCpu) {

@@ -12,7 +12,7 @@ namespace biosim {
 namespace {
 
 std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  return biosim::testutil::TestPath(name);
 }
 
 TEST(CheckpointTest, RoundTripPreservesEveryAttribute) {

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "../test_util.h"
+
 namespace biosim {
 namespace {
 
@@ -31,7 +33,7 @@ class ExportTest : public ::testing::Test {
   }
 
   std::string TempPath(const char* name) {
-    return std::string(::testing::TempDir()) + "/" + name;
+    return biosim::testutil::TestPath(name);
   }
 
   ResourceManager rm_;

@@ -8,6 +8,8 @@
 
 #include "core/simulation.h"
 
+#include "../test_util.h"
+
 namespace biosim {
 namespace {
 
@@ -73,7 +75,7 @@ TEST(TimeSeriesTest, CsvOutput) {
   TimeSeriesRecorder rec;
   rec.AddMetric("population", metrics::PopulationSize);
   rec.Record(sim);
-  std::string path = std::string(::testing::TempDir()) + "/ts.csv";
+  std::string path = biosim::testutil::TestPath("ts.csv");
   ASSERT_TRUE(rec.WriteCsv(path));
   std::ifstream in(path);
   std::stringstream ss;

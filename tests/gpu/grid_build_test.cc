@@ -1,8 +1,10 @@
-// Device-side uniform-grid construction must agree with the host-side grid.
+// Device-side uniform-grid construction (the paper's Fig. 5 chains) must
+// agree with the host's compacted grid.
 #include <gtest/gtest.h>
 
-#include <map>
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "../test_util.h"
 #include "gpu/grid_build_kernels.h"
@@ -96,6 +98,9 @@ TEST_F(GridBuildTest, AgentsLandInTheBoxOfTheirPosition) {
 }
 
 TEST_F(GridBuildTest, MatchesHostGridOccupancy) {
+  // The device builds Fig. 5's chains; the host builds the compacted CSR.
+  // Both must hold the same agents per box, and the device chain sorted
+  // ascending must be exactly the host run.
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 400, 0.0, 100.0, 10.0);
   BuildOnDevice(rm);
@@ -109,19 +114,20 @@ TEST_F(GridBuildTest, MatchesHostGridOccupancy) {
   ASSERT_EQ(static_cast<int32_t>(host.num_boxes_axis().y), g_.ny);
   ASSERT_EQ(static_cast<int32_t>(host.num_boxes_axis().z), g_.nz);
 
-  // Same membership per box (order may differ).
+  size_t occupied = 0;
   for (size_t b = 0; b < g_.total_boxes(); ++b) {
-    std::set<int32_t> device_members;
+    std::vector<int32_t> device_members;
     for (int32_t j = s_.box_start[b]; j != kEmptyBox; j = s_.successors[j]) {
-      device_members.insert(j);
+      device_members.push_back(j);
     }
-    std::set<int32_t> host_members;
-    for (int32_t j = host.box_start(b); j != UniformGridEnvironment::kEmpty;
-         j = host.successors()[j]) {
-      host_members.insert(j);
-    }
-    ASSERT_EQ(device_members, host_members) << "box " << b;
+    std::sort(device_members.begin(), device_members.end());
+    const auto run =
+        host.csr().RunOf(host.geometry().BoxCoordinatesOfIndex(b));
+    ASSERT_EQ(device_members, std::vector<int32_t>(run.begin(), run.end()))
+        << "box " << b;
+    occupied += device_members.empty() ? 0 : 1;
   }
+  EXPECT_EQ(occupied, host.occupied_boxes());
 }
 
 TEST_F(GridBuildTest, BuildKernelUsesAtomics) {

@@ -2,8 +2,8 @@
 // must produce bitwise-identical per-step state hashes at any worker count
 // and across repeated runs. The scenario deliberately exercises every
 // order-sensitive subsystem at once — growth + division (deferred
-// structural changes), the parallel uniform-grid rebuild (canonicalized box
-// chains), force accumulation, and substance deposits from behaviors
+// structural changes), the parallel uniform-grid build (ascending box
+// runs), force accumulation, and substance deposits from behaviors
 // (chunk-ordered deposit sink) on a diffusing field.
 //
 // The CLI contract rides along: `biosim_run --verify-determinism` exits 0
@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../test_util.h"
 #include "app/runner.h"
 #include "core/behaviors/secretion.h"
 #include "core/simulation.h"
@@ -37,7 +38,6 @@ std::vector<uint64_t> HashTrajectory(uint32_t num_threads, uint64_t steps,
                                      uint32_t zorder_cadence = 0,
                                      bool cpu_fast_path = true,
                                      bool cpu_simd = false, bool fp32 = false,
-                                     bool incremental_grid = true,
                                      bool overlap_ops = false) {
   Param p;
   p.random_seed = seed;
@@ -46,7 +46,6 @@ std::vector<uint64_t> HashTrajectory(uint32_t num_threads, uint64_t steps,
   p.cpu_fast_path = cpu_fast_path;
   p.cpu_simd = cpu_simd;
   p.precision = fp32 ? Precision::kFp32 : Precision::kFp64;
-  p.incremental_grid = incremental_grid;
   p.overlap_ops = overlap_ops;
   p.max_bound = 120.0;
   Simulation sim(p);
@@ -118,29 +117,24 @@ TEST(DeterminismTest, Fp32PathThreadSweepIsBitwiseSelfConsistent) {
 }
 
 TEST(DeterminismTest, OverlappedOpsThreadSweepIsBitwiseIdentical) {
-  // Both scheduler knobs on — incremental grid maintenance plus the
-  // overlapped mechanics/diffusion task graph. Mechanics and diffusion
-  // touch disjoint state after the deposit-merge barrier, and the patched
-  // grid is byte-identical to a rebuild, so the full contract must survive.
+  // The overlapped mechanics/diffusion task graph. Mechanics and diffusion
+  // touch disjoint state after the deposit-merge barrier, so the full
+  // contract must survive.
   auto reference = HashTrajectory(1, 10, 42, 0, true, false, false,
-                                  /*incremental_grid=*/true,
                                   /*overlap_ops=*/true);
-  EXPECT_EQ(HashTrajectory(2, 10, 42, 0, true, false, false, true, true),
+  EXPECT_EQ(HashTrajectory(2, 10, 42, 0, true, false, false, true),
             reference);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, false, false, true, true),
+  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, false, false, true),
             reference);
 }
 
 TEST(DeterminismTest, SchedulerKnobsAreBitwiseNeutral) {
-  // The knobs are pure performance switches: turning either off must not
-  // change a single per-step hash. This is the cross-path equality the
+  // The scheduler knob is a pure performance switch: turning it off must
+  // not change a single per-step hash. This is the cross-path equality the
   // steady bench re-checks on every CI run.
   auto baseline = HashTrajectory(8, 10, 42, 0, true, false, false,
-                                 /*incremental_grid=*/false,
                                  /*overlap_ops=*/false);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, false, false, true, false),
-            baseline);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, false, false, true, true),
+  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, false, false, true),
             baseline);
 }
 
@@ -184,7 +178,7 @@ TEST(VerifyDeterminismTest, FinalHashIndependentOfConfiguredThreads) {
 
 int RunBiosim(const std::string& args, std::string* stdout_text = nullptr) {
   std::string out_path =
-      std::string(::testing::TempDir()) + "/determinism_cli.out";
+      biosim::testutil::TestPath("determinism_cli.out");
   std::string cmd = std::string(BIOSIM_RUN_BIN) + " " + args + " > " +
                     out_path + " 2>/dev/null";
   int status = std::system(cmd.c_str());

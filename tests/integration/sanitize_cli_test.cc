@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../test_util.h"
+
 #ifndef BIOSIM_RUN_BIN
 #error "BIOSIM_RUN_BIN must point at the biosim_run binary"
 #endif
@@ -24,7 +26,7 @@ namespace biosim {
 namespace {
 
 std::string WriteConfig(const char* name, const std::string& extra_backend) {
-  std::string path = std::string(::testing::TempDir()) + "/" + name;
+  std::string path = biosim::testutil::TestPath(name);
   std::ofstream f(path);
   f << "[simulation]\n"
        "steps = 1\n"
@@ -77,7 +79,7 @@ TEST(SanitizeCliTest, RacyKernelExitsZeroWithoutSanitizer) {
 
 TEST(SanitizeCliTest, ConfigErrorExitsOne) {
   // racy_grid_build swaps a device kernel: rejected on the CPU backend.
-  std::string path = std::string(::testing::TempDir()) + "/bad.ini";
+  std::string path = biosim::testutil::TestPath("bad.ini");
   std::ofstream f(path);
   f << "[model]\ntype = random_cloud\nagents = 16\n"
        "[backend]\ntype = cpu\nracy_grid_build = true\n";

@@ -16,11 +16,13 @@
 #include "obs/json.h"
 #include "obs/report.h"
 
+#include "../test_util.h"
+
 namespace biosim::app {
 namespace {
 
 std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  return biosim::testutil::TestPath(name);
 }
 
 std::string Slurp(const std::string& path) {

@@ -17,6 +17,7 @@
 
 #include "gtest/gtest.h"
 #include "obs/json.h"
+#include "../test_util.h"
 
 namespace biosim::obs {
 namespace {
@@ -33,7 +34,7 @@ FlightRecorder::StepRecord MakeRecord(uint64_t step) {
 }
 
 std::string TempPath(const char* name) {
-  return ::testing::TempDir() + name;
+  return biosim::testutil::TestPath(name);
 }
 
 json::Value ReadJsonFile(const std::string& path) {

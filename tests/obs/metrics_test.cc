@@ -7,8 +7,13 @@
 #include <sstream>
 #include <string>
 
+#include "core/param.h"
 #include "core/profiler.h"
+#include "core/resource_manager.h"
+#include "core/shard_runtime.h"
 #include "obs/json.h"
+#include "spatial/uniform_grid.h"
+#include "../test_util.h"
 
 namespace biosim::obs {
 namespace {
@@ -103,8 +108,65 @@ TEST(MetricsRegistryTest, CollectRuntimeReportsThreads) {
   EXPECT_GE(reg.GetGauge("runtime/hardware_threads")->value(), 1.0);
 }
 
+// Four agents in three boxes of a 4^3 torus lattice (box edge 10): two
+// share box (0, 0, 0), one sits in (1, 0, 0), one in (3, 3, 3).
+ResourceManager ThreeOccupiedBoxes(Param* param) {
+  param->boundary_mode = BoundaryMode::kTorus;
+  param->min_bound = 0.0;
+  param->max_bound = 40.0;
+  ResourceManager rm;
+  for (const Double3& p : {Double3{1.0, 1.0, 1.0}, Double3{2.0, 2.0, 2.0},
+                           Double3{15.0, 1.0, 1.0},
+                           Double3{35.0, 35.0, 35.0}}) {
+    NewAgentSpec spec;
+    spec.position = p;
+    spec.diameter = 10.0;
+    rm.AddAgent(std::move(spec));
+  }
+  return rm;
+}
+
+TEST(MetricsRegistryTest, CollectUniformGridCountsOccupiedBoxes) {
+  Param param;
+  const ResourceManager rm = ThreeOccupiedBoxes(&param);
+  UniformGridEnvironment grid;
+  grid.Update(rm, param, ExecMode::kSerial);
+  MetricsRegistry reg;
+  CollectUniformGrid(grid, &reg);
+  EXPECT_EQ(reg.GetCounter("grid/boxes")->value(), 64u);
+  EXPECT_EQ(reg.GetCounter("grid/occupied_boxes")->value(), 3u);
+  EXPECT_EQ(reg.GetCounter("grid/full_rebuilds")->value(), 1u);
+  EXPECT_DOUBLE_EQ(grid.MeanAgentsPerBox(), 4.0 / 3.0);
+}
+
+TEST(MetricsRegistryTest, CollectShardsCountsOwnedOccupiedBoxes) {
+  // Two shards own z-planes {0, 1} and {2, 3}: the first owns the two boxes
+  // at z = 0, the second the box at z = 3; halo boxes are not counted, so
+  // the shards sum to the unsharded count.
+  Param param;
+  const ResourceManager rm = ThreeOccupiedBoxes(&param);
+  ShardRuntime runtime(2, ShardBalance::kStatic);
+  runtime.Repartition(rm, param);
+  runtime.ExchangeHalos(rm, ExecMode::kSerial);
+  runtime.UpdateGrids(rm, ExecMode::kSerial);
+  std::vector<ShardObsStats> stats(2);
+  for (uint32_t k = 0; k < 2; ++k) {
+    stats[k].owned_agents = runtime.owned_rows(k).size();
+    stats[k].occupied_boxes = runtime.grid(k).owned_slots();
+    stats[k].first_plane = runtime.partition().first_plane(k);
+    stats[k].end_plane = runtime.partition().end_plane(k);
+  }
+  MetricsRegistry reg;
+  CollectShards(stats, 0, &reg);
+  EXPECT_EQ(reg.GetCounter("shard/0/occupied_boxes")->value(), 2u);
+  EXPECT_EQ(reg.GetCounter("shard/1/occupied_boxes")->value(), 1u);
+  // The halo plane z = 3 wraps into shard 0's window: its grid holds it,
+  // but only as a ghost box.
+  EXPECT_EQ(runtime.grid(0).occupied_boxes(), 3u);
+}
+
 TEST(MetricsJsonlWriterTest, EmitsOneParseableObjectPerSnapshot) {
-  std::string path = std::string(::testing::TempDir()) + "/metrics.jsonl";
+  std::string path = biosim::testutil::TestPath("metrics.jsonl");
   {
     MetricsJsonlWriter writer(path);
     ASSERT_TRUE(writer.ok());

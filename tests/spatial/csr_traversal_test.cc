@@ -1,12 +1,15 @@
-// CSR traversal property tests (docs/perf.md): the CSR flattening of the
-// canonical box chains must be structurally exact, and the CSR-based
-// neighbor traversal must visit *exactly* the same (neighbor, d²) sequence
-// as the linked-chain traversal — same order, same indices, equal distances
-// — on random, clustered, torus-wrapped, and degenerate (1–2 boxes per
-// axis) inputs. This is the contract the fused force kernel's bitwise
-// equality rests on.
+// CSR traversal property tests (docs/perf.md): the compacted CSR of the
+// uniform grid must be structurally exact, and its neighbor traversal must
+// visit *exactly* the reference (neighbor, d²) sequence — same order, same
+// indices, equal distances — on random, clustered, torus-wrapped, and
+// degenerate (1–2 boxes per axis) inputs. The reference is built here from
+// scratch: every box's chain is its agents in ascending index (Fig. 5's
+// chains after canonical sorting), and the 27-box block is walked in the
+// lattice's canonical NeighborBoxesOf order. This is the contract the fused
+// force kernel's bitwise equality rests on.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "core/param.h"
 #include "core/random.h"
 #include "core/resource_manager.h"
+#include "physics/displacement.h"
 #include "spatial/uniform_grid.h"
 
 namespace biosim {
@@ -21,12 +25,42 @@ namespace {
 
 using Visit = std::pair<AgentIndex, double>;
 
-std::vector<Visit> CollectChain(const UniformGridEnvironment& env,
-                                const ResourceManager& rm, AgentIndex q,
-                                double radius) {
+/// Reference box chains: flat box -> agents ascending, from the lattice
+/// alone (no grid structure involved).
+std::map<size_t, std::vector<int32_t>> ReferenceChains(
+    const GridGeometry& g, const ResourceManager& rm) {
+  std::map<size_t, std::vector<int32_t>> chains;
+  for (size_t i = 0; i < rm.size(); ++i) {
+    chains[g.FlatBoxIndex(g.BoxCoordinatesOf(rm.positions()[i]))].push_back(
+        static_cast<int32_t>(i));
+  }
+  return chains;
+}
+
+std::vector<Visit> CollectChain(
+    const GridGeometry& g, const std::map<size_t, std::vector<int32_t>>& chains,
+    const ResourceManager& rm, AgentIndex q, double radius) {
   std::vector<Visit> out;
-  env.ForEachNeighborWithinRadius(
-      q, rm, radius, [&](AgentIndex j, double d2) { out.emplace_back(j, d2); });
+  const auto& pos = rm.positions();
+  size_t blocks[27];
+  const int count = g.NeighborBoxesOf(g.BoxCoordinatesOf(pos[q]), blocks);
+  for (int k = 0; k < count; ++k) {
+    auto it = chains.find(blocks[k]);
+    if (it == chains.end()) {
+      continue;
+    }
+    for (int32_t j : it->second) {
+      if (static_cast<AgentIndex>(j) == q) {
+        continue;
+      }
+      const double d2 =
+          g.torus ? MinImageVector(pos[q], pos[j], g.edge).SquaredNorm()
+                  : SquaredDistance(pos[q], pos[j]);
+      if (d2 <= radius * radius) {
+        out.emplace_back(j, d2);
+      }
+    }
+  }
   return out;
 }
 
@@ -34,18 +68,20 @@ std::vector<Visit> CollectCsr(const UniformGridEnvironment& env,
                               const ResourceManager& rm, AgentIndex q,
                               double radius) {
   std::vector<Visit> out;
-  env.ForEachNeighborWithinRadiusCsr(
+  env.ForEachNeighborWithinRadius(
       q, rm, radius, [&](AgentIndex j, double d2) { out.emplace_back(j, d2); });
   return out;
 }
 
-/// The property: for every agent, the two traversals produce the identical
-/// visit sequence (order, indices, and d² values all equal).
+/// The property: for every agent, the grid's traversal produces the
+/// reference visit sequence (order, indices, and d² values all equal).
 void ExpectIdenticalSequences(const UniformGridEnvironment& env,
                               const ResourceManager& rm) {
   const double radius = env.interaction_radius();
+  const auto chains = ReferenceChains(env.geometry(), rm);
   for (AgentIndex q = 0; q < rm.size(); ++q) {
-    std::vector<Visit> chain = CollectChain(env, rm, q, radius);
+    std::vector<Visit> chain =
+        CollectChain(env.geometry(), chains, rm, q, radius);
     std::vector<Visit> csr = CollectCsr(env, rm, q, radius);
     ASSERT_EQ(chain.size(), csr.size()) << "agent " << q;
     for (size_t k = 0; k < chain.size(); ++k) {
@@ -56,34 +92,30 @@ void ExpectIdenticalSequences(const UniformGridEnvironment& env,
   }
 }
 
-/// CSR structural invariants: a valid exclusive prefix sum over box
-/// occupancy, rows ascending, and row contents identical to the chains.
-void ExpectValidCsr(const UniformGridEnvironment& env, size_t n) {
-  const auto& starts = env.box_starts();
-  const auto& agents = env.box_agents();
-  ASSERT_EQ(starts.size(), env.total_boxes() + 1);
-  ASSERT_EQ(agents.size(), n);
+/// CSR structural invariants: one slot per occupied box in ascending box
+/// order, a valid exclusive prefix sum, and each run equal to the box's
+/// reference chain — so every agent appears exactly once.
+void ExpectValidCsr(const UniformGridEnvironment& env,
+                    const ResourceManager& rm) {
+  const CompactGrid& csr = env.csr();
+  const auto chains = ReferenceChains(env.geometry(), rm);
+  const auto& starts = csr.starts();
+  const auto& agents = csr.agents();
+  ASSERT_EQ(csr.occupied_boxes(), chains.size());
+  ASSERT_EQ(env.occupied_boxes(), chains.size());
+  ASSERT_EQ(starts.size(), chains.size() + 1);
+  ASSERT_EQ(agents.size(), rm.size());
   EXPECT_EQ(starts.front(), 0);
-  EXPECT_EQ(static_cast<size_t>(starts.back()), n);
-  std::vector<bool> seen(n, false);
-  for (size_t b = 0; b < env.total_boxes(); ++b) {
-    ASSERT_LE(starts[b], starts[b + 1]);
-    EXPECT_EQ(starts[b + 1] - starts[b], env.box_count(b)) << "box " << b;
-    int32_t chain = env.box_start(b);
-    for (int32_t t = starts[b]; t < starts[b + 1]; ++t) {
-      if (t > starts[b]) {
-        EXPECT_LT(agents[t - 1], agents[t]) << "box " << b;  // ascending
-      }
-      ASSERT_EQ(agents[t], chain) << "box " << b;  // same content as chain
-      ASSERT_FALSE(seen[static_cast<size_t>(agents[t])]);
-      seen[static_cast<size_t>(agents[t])] = true;
-      chain = env.successors()[static_cast<size_t>(chain)];
-    }
-    EXPECT_EQ(chain, UniformGridEnvironment::kEmpty) << "box " << b;
-  }
-  // Every agent appears exactly once: a permutation of 0..n-1.
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(seen[i]) << "agent " << i << " missing from box_agents";
+  EXPECT_EQ(static_cast<size_t>(starts.back()), rm.size());
+  size_t s = 0;
+  for (const auto& [box, chain] : chains) {
+    ASSERT_EQ(csr.slot_boxes()[s], box) << "slot " << s;
+    ASSERT_EQ(csr.SlotOf(env.geometry().BoxCoordinatesOfIndex(box)),
+              static_cast<int32_t>(s));
+    const std::vector<int32_t> run(agents.begin() + starts[s],
+                                   agents.begin() + starts[s + 1]);
+    EXPECT_EQ(run, chain) << "box " << box;
+    ++s;
   }
 }
 
@@ -105,7 +137,7 @@ TEST(CsrTraversalTest, RandomUniformMatchesChain) {
   testutil::FillRandomCells(&rm, 400, 0.0, 100.0, 10.0, /*seed=*/7);
   UniformGridEnvironment env;
   env.Update(rm, ClampParam(100.0), ExecMode::kSerial);
-  ExpectValidCsr(env, rm.size());
+  ExpectValidCsr(env, rm);
   ExpectIdenticalSequences(env, rm);
 }
 
@@ -125,7 +157,7 @@ TEST(CsrTraversalTest, ClusteredBallMatchesChain) {
   }
   UniformGridEnvironment env;
   env.Update(rm, ClampParam(200.0), ExecMode::kSerial);
-  ExpectValidCsr(env, rm.size());
+  ExpectValidCsr(env, rm);
   ExpectIdenticalSequences(env, rm);
 }
 
@@ -135,7 +167,7 @@ TEST(CsrTraversalTest, TorusWrapMatchesChain) {
   UniformGridEnvironment env;
   env.Update(rm, TorusParam(100.0), ExecMode::kSerial);
   ASSERT_TRUE(env.is_torus());
-  ExpectValidCsr(env, rm.size());
+  ExpectValidCsr(env, rm);
   ExpectIdenticalSequences(env, rm);
 }
 
@@ -148,7 +180,7 @@ TEST(CsrTraversalTest, DegenerateTwoBoxTorusAxesMatchChain) {
   UniformGridEnvironment env;
   env.Update(rm, TorusParam(100.0), ExecMode::kSerial);
   ASSERT_EQ(env.num_boxes_axis().x, 2);
-  ExpectValidCsr(env, rm.size());
+  ExpectValidCsr(env, rm);
   ExpectIdenticalSequences(env, rm);
 }
 
@@ -160,7 +192,7 @@ TEST(CsrTraversalTest, DegenerateSingleBoxTorusAxesMatchChain) {
   UniformGridEnvironment env;
   env.Update(rm, TorusParam(100.0), ExecMode::kSerial);
   ASSERT_EQ(env.num_boxes_axis().x, 1);
-  ExpectValidCsr(env, rm.size());
+  ExpectValidCsr(env, rm);
   ExpectIdenticalSequences(env, rm);
 }
 
@@ -171,7 +203,32 @@ TEST(CsrTraversalTest, SmallClampedDomainMatchesChain) {
   UniformGridEnvironment env;
   env.Update(rm, ClampParam(50.0), ExecMode::kSerial);
   ASSERT_LE(env.num_boxes_axis().x, 2);
-  ExpectValidCsr(env, rm.size());
+  ExpectValidCsr(env, rm);
+  ExpectIdenticalSequences(env, rm);
+}
+
+TEST(CsrTraversalTest, VerySparseLatticeMatchesChain) {
+  // A dense cluster straddling the faces of a huge torus: fewer than one
+  // word of boxes in 16 holds an agent, so lookups go through the word
+  // mask and each box's own row is read from its adjacent slots — with
+  // boxes on both sides of the wrap, where the row's neighbours are not
+  // adjacent in box order.
+  ResourceManager rm;
+  Random rng(31);
+  for (size_t i = 0; i < 300; ++i) {
+    NewAgentSpec s;
+    Double3 p = rng.UniformInCube(-30.0, 30.0);
+    for (double* c : {&p.x, &p.y, &p.z}) {
+      if (*c < 0.0) *c += 1536.0;
+    }
+    s.position = p;
+    s.diameter = 8.0;
+    rm.AddAgent(std::move(s));
+  }
+  UniformGridEnvironment env;
+  env.Update(rm, TorusParam(1536.0), ExecMode::kSerial);
+  ASSERT_EQ(env.num_boxes_axis().x, 192);
+  ExpectValidCsr(env, rm);
   ExpectIdenticalSequences(env, rm);
 }
 
@@ -184,18 +241,43 @@ TEST(CsrTraversalTest, ParallelBuildProducesIdenticalCsr) {
   serial_env.Update(rm, ClampParam(100.0), ExecMode::kSerial);
   UniformGridEnvironment parallel_env;
   parallel_env.Update(rm, ClampParam(100.0), ExecMode::kParallel);
-  EXPECT_EQ(serial_env.box_starts(), parallel_env.box_starts());
-  EXPECT_EQ(serial_env.box_agents(), parallel_env.box_agents());
+  EXPECT_EQ(serial_env.csr().starts(), parallel_env.csr().starts());
+  EXPECT_EQ(serial_env.csr().agents(), parallel_env.csr().agents());
+  EXPECT_EQ(serial_env.csr().slot_boxes(), parallel_env.csr().slot_boxes());
+}
+
+TEST(CsrTraversalTest, ChunkedRadixBuildMatchesReferenceAtEveryThreadCount) {
+  // Large enough for the builder to cut the radix sort and the slot fill
+  // into several chunks: the stable sort has one output, so every worker
+  // count must give the same bytes as the reference chains.
+  ResourceManager rm;
+  testutil::FillRandomCells(&rm, 40000, 0.0, 400.0, 8.0, /*seed=*/29);
+  const Param param = TorusParam(400.0);
+  UniformGridEnvironment serial_env;
+  serial_env.Update(rm, param, ExecMode::kSerial);
+  ExpectValidCsr(serial_env, rm);
+  const uint32_t restore = HardwareThreads();
+  for (uint32_t threads : {2u, 3u, 4u}) {
+    SetNumThreads(threads);
+    UniformGridEnvironment env;
+    env.Update(rm, param, ExecMode::kParallel);
+    EXPECT_EQ(env.csr().slot_boxes(), serial_env.csr().slot_boxes())
+        << threads << " threads";
+    EXPECT_EQ(env.csr().starts(), serial_env.csr().starts())
+        << threads << " threads";
+    EXPECT_EQ(env.csr().agents(), serial_env.csr().agents())
+        << threads << " threads";
+  }
+  SetNumThreads(restore);
 }
 
 TEST(CsrTraversalTest, EmptyPopulationHasEmptyCsr) {
   ResourceManager rm;
   UniformGridEnvironment env;
   env.Update(rm, ClampParam(100.0), ExecMode::kSerial);
-  EXPECT_EQ(env.box_agents().size(), 0u);
-  ASSERT_GE(env.box_starts().size(), 2u);
-  EXPECT_EQ(env.box_starts().front(), 0);
-  EXPECT_EQ(env.box_starts().back(), 0);
+  EXPECT_EQ(env.csr().agents().size(), 0u);
+  EXPECT_EQ(env.occupied_boxes(), 0u);
+  EXPECT_EQ(env.csr().starts(), std::vector<int32_t>{0});
 }
 
 }  // namespace

@@ -1,16 +1,17 @@
-// Property battery for the incremental grid rebuild (docs/perf.md
-// "Incremental grid rebuilds"): after every Update, an incrementally
-// maintained environment must be byte-identical — chains, counts, successor
-// links AND the CSR flattening — to a from-scratch build of the same
-// population. Anything less would break PR 4's bitwise determinism
-// contract, because the fused force kernel streams the CSR runs directly.
+// Property battery for grid reuse across steps (docs/perf.md "One host
+// grid"): the uniform grid keeps its box->slot map between Updates and
+// clears only the entries the previous build occupied, and reconfigures its
+// window only when the lattice moves. After every Update, a grid reused
+// this way must be byte-identical — slots, CSR runs and the box->slot map
+// of every lattice box — to a fresh grid built from the same population.
+// Anything less would break the bitwise determinism contract, because the
+// fused force kernel streams the CSR runs directly.
 //
-// Each scenario steps a population under a different motion regime and
-// compares the patched grid against a fresh reference environment after
-// every step. The stats counters double as path assertions: scenarios that
-// are supposed to exercise the patch path assert incremental_updates
-// advanced, and scenarios that must fall back (population change, mass
-// motion) assert full_rebuilds advanced.
+// Each scenario steps a population under a different motion regime (the
+// regimes the old patch path special-cased: drift, teleports, growth,
+// removal, mass motion) and compares the reused grid against a fresh
+// reference after every step. Every Update is a full build, which the
+// stats counters confirm.
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
@@ -29,47 +30,57 @@
 namespace biosim {
 namespace {
 
-/// Assert every queryable structure of `inc` equals `ref` bit for bit.
+/// Assert every queryable structure of `reused` equals `ref` bit for bit.
 /// gtest prints vector diffs, so the raw arrays are compared directly.
-void ExpectGridsIdentical(const UniformGridEnvironment& inc,
+void ExpectGridsIdentical(const UniformGridEnvironment& reused,
                           const UniformGridEnvironment& ref,
                           const char* where) {
-  ASSERT_EQ(inc.total_boxes(), ref.total_boxes()) << where;
-  EXPECT_EQ(inc.box_length(), ref.box_length()) << where;
-  EXPECT_EQ(inc.grid_min().x, ref.grid_min().x) << where;
-  EXPECT_EQ(inc.grid_min().y, ref.grid_min().y) << where;
-  EXPECT_EQ(inc.grid_min().z, ref.grid_min().z) << where;
-  EXPECT_EQ(inc.is_torus(), ref.is_torus()) << where;
-  // The CSR pair is what the fused kernel consumes.
-  EXPECT_EQ(inc.box_starts(), ref.box_starts()) << where;
-  EXPECT_EQ(inc.box_agents(), ref.box_agents()) << where;
-  // The linked-chain view must stay in lockstep with it.
-  EXPECT_EQ(inc.successors(), ref.successors()) << where;
-  for (size_t b = 0; b < inc.total_boxes(); ++b) {
-    ASSERT_EQ(inc.box_start(b), ref.box_start(b)) << where << " box " << b;
-    ASSERT_EQ(inc.box_count(b), ref.box_count(b)) << where << " box " << b;
+  ASSERT_EQ(reused.total_boxes(), ref.total_boxes()) << where;
+  EXPECT_EQ(reused.box_length(), ref.box_length()) << where;
+  EXPECT_EQ(reused.grid_min().x, ref.grid_min().x) << where;
+  EXPECT_EQ(reused.grid_min().y, ref.grid_min().y) << where;
+  EXPECT_EQ(reused.grid_min().z, ref.grid_min().z) << where;
+  EXPECT_EQ(reused.is_torus(), ref.is_torus()) << where;
+  // The CSR is what the fused kernel consumes.
+  EXPECT_EQ(reused.csr().slot_boxes(), ref.csr().slot_boxes()) << where;
+  EXPECT_EQ(reused.csr().starts(), ref.csr().starts()) << where;
+  EXPECT_EQ(reused.csr().agents(), ref.csr().agents()) << where;
+  // The map must hold no stale entry from an earlier step.
+  const GridGeometry& g = ref.geometry();
+  for (size_t b = 0; b < ref.total_boxes(); ++b) {
+    const Int3 c = g.BoxCoordinatesOfIndex(b);
+    ASSERT_EQ(reused.csr().SlotOf(c), ref.csr().SlotOf(c))
+        << where << " box " << b;
   }
 }
 
-/// Step `rm` `steps` times through `move`, updating `inc` in place (the
-/// incremental path) and rebuilding a fresh environment as reference after
-/// each move. `move(step)` mutates positions (or the population) arbitrarily.
+/// Step `rm` `steps` times through `move`, updating `reused` in place and
+/// building a fresh environment as reference after each move. `move(step)`
+/// mutates positions (or the population) arbitrarily.
 template <typename MoveFn>
 void RunMotionProperty(ResourceManager& rm, const Param& param,
-                       UniformGridEnvironment& inc, uint64_t steps,
+                       UniformGridEnvironment& reused, uint64_t steps,
                        MoveFn move) {
-  inc.Update(rm, param, ExecMode::kSerial);
+  reused.Update(rm, param, ExecMode::kSerial);
   for (uint64_t s = 0; s < steps; ++s) {
     move(s);
-    inc.Update(rm, param, ExecMode::kParallel);
+    reused.Update(rm, param, ExecMode::kParallel);
     UniformGridEnvironment ref;
     ref.Update(rm, param, ExecMode::kSerial);
     std::string where = "step " + std::to_string(s);
-    ExpectGridsIdentical(inc, ref, where.c_str());
+    ExpectGridsIdentical(reused, ref, where.c_str());
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
   }
+}
+
+/// Every Update is a full build; nothing is patched.
+void ExpectOnlyFullBuilds(const UniformGridEnvironment& env,
+                          uint64_t updates) {
+  EXPECT_EQ(env.update_stats().full_rebuilds, updates);
+  EXPECT_EQ(env.update_stats().incremental_updates, 0u);
+  EXPECT_EQ(env.update_stats().rebinned_agents, 0u);
 }
 
 Param TorusParam(double edge) {
@@ -81,14 +92,14 @@ Param TorusParam(double edge) {
 }
 
 TEST(IncrementalGridTest, TorusRandomWalkMatchesFullRebuildEveryStep) {
-  // The design workload: periodic space, fixed geometry, a slow drift that
-  // re-bins a few percent of agents per step.
+  // The steady workload: periodic space, fixed geometry, a slow drift that
+  // moves a few percent of agents to another box per step.
   Param param = TorusParam(96.0);
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 400, 0.0, 96.0, 8.0, /*seed=*/7);
-  UniformGridEnvironment inc;
+  UniformGridEnvironment reused;
   Random rng(11);
-  RunMotionProperty(rm, param, inc, 12, [&](uint64_t) {
+  RunMotionProperty(rm, param, reused, 12, [&](uint64_t) {
     for (auto& p : rm.positions()) {
       for (double* c : {&p.x, &p.y, &p.z}) {
         *c += rng.Uniform(-1.5, 1.5);
@@ -98,16 +109,12 @@ TEST(IncrementalGridTest, TorusRandomWalkMatchesFullRebuildEveryStep) {
       }
     }
   });
-  // The whole run must have been served by the patch path (after the
-  // initial build), else the property held vacuously.
-  EXPECT_EQ(inc.update_stats().full_rebuilds, 1u);
-  EXPECT_EQ(inc.update_stats().incremental_updates, 12u);
-  EXPECT_GT(inc.update_stats().rebinned_agents, 0u);
+  ExpectOnlyFullBuilds(reused, 13);
 }
 
-TEST(IncrementalGridTest, BoundedCloudWithCornerSentinelsStaysIncremental) {
-  // Non-torus grids derive grid_min from rm.Bounds(), so the patch path
-  // only engages while the bounding box is bit-stable. Eight stationary
+TEST(IncrementalGridTest, BoundedCloudWithCornerSentinelsMatchesFullRebuild) {
+  // Non-torus grids derive grid_min from rm.Bounds(), so the window is
+  // kept only while the bounding box is bit-stable. Eight stationary
   // sentinel agents pin the corners; everyone else jitters inside.
   Param param;  // open boundary
   ResourceManager rm;
@@ -122,9 +129,9 @@ TEST(IncrementalGridTest, BoundedCloudWithCornerSentinelsStaysIncremental) {
     }
   }
   testutil::FillRandomCells(&rm, 300, 4.0, 76.0, 8.0, /*seed=*/13);
-  UniformGridEnvironment inc;
+  UniformGridEnvironment reused;
   Random rng(5);
-  RunMotionProperty(rm, param, inc, 10, [&](uint64_t) {
+  RunMotionProperty(rm, param, reused, 10, [&](uint64_t) {
     auto& pos = rm.positions();
     for (size_t i = 8; i < pos.size(); ++i) {  // sentinels stay put
       for (double* c : {&pos[i].x, &pos[i].y, &pos[i].z}) {
@@ -132,21 +139,20 @@ TEST(IncrementalGridTest, BoundedCloudWithCornerSentinelsStaysIncremental) {
       }
     }
   });
-  EXPECT_EQ(inc.update_stats().full_rebuilds, 1u);
-  EXPECT_EQ(inc.update_stats().incremental_updates, 10u);
+  ExpectOnlyFullBuilds(reused, 11);
 }
 
 TEST(IncrementalGridTest, ClusteredHoppingMatchesFullRebuild) {
   // Two dense clusters and a trickle of agents teleporting between them:
-  // per-box deltas with several arrivals/departures at once, far apart in
-  // the flat box order.
+  // boxes gaining and losing several agents at once, far apart in the flat
+  // box order, and boxes emptied whose map entries must be cleared.
   Param param = TorusParam(128.0);
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 150, 10.0, 20.0, 8.0, /*seed=*/3);
   testutil::FillRandomCells(&rm, 150, 100.0, 110.0, 8.0, /*seed=*/4);
-  UniformGridEnvironment inc;
+  UniformGridEnvironment reused;
   Random rng(17);
-  RunMotionProperty(rm, param, inc, 10, [&](uint64_t s) {
+  RunMotionProperty(rm, param, reused, 10, [&](uint64_t s) {
     auto& pos = rm.positions();
     // Five hoppers per step swap clusters; everyone else is stationary
     // (in-box moves and no-op boxes must both be handled).
@@ -157,39 +163,37 @@ TEST(IncrementalGridTest, ClusteredHoppingMatchesFullRebuild) {
     }
     (void)s;
   });
-  EXPECT_EQ(inc.update_stats().full_rebuilds, 1u);
-  EXPECT_GT(inc.update_stats().rebinned_agents, 0u);
+  ExpectOnlyFullBuilds(reused, 11);
 }
 
 TEST(IncrementalGridTest, DegenerateSingleBoxDomainIsHandled) {
   // Everything lives in one box (domain smaller than the interaction
-  // radius): deltas degenerate to one box's chain rewritten in place.
+  // radius): a zero-bit box key, so the build skips the sort.
   Param param = TorusParam(16.0);
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 24, 0.0, 16.0, 8.0, /*seed=*/9);
-  UniformGridEnvironment inc;
+  UniformGridEnvironment reused;
   Random rng(23);
-  RunMotionProperty(rm, param, inc, 6, [&](uint64_t) {
+  RunMotionProperty(rm, param, reused, 6, [&](uint64_t) {
     for (auto& p : rm.positions()) {
       p.x += rng.Uniform(-1.0, 1.0);
       if (p.x < 0.0) p.x += 16.0;
       if (p.x >= 16.0) p.x -= 16.0;
     }
   });
-  EXPECT_EQ(inc.update_stats().full_rebuilds, 1u);
-  EXPECT_EQ(inc.update_stats().incremental_updates, 6u);
+  ExpectOnlyFullBuilds(reused, 7);
 }
 
 TEST(IncrementalGridTest, PopulationGrowthForcesFullRebuild) {
   // A division (deferred insertion committed between steps) changes the
-  // agent count; the patch path must refuse and the full rebuild must
-  // produce the reference structures.
+  // agent count; the reused grid must still produce the reference
+  // structures.
   Param param = TorusParam(64.0);
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 100, 0.0, 64.0, 8.0, /*seed=*/21);
-  UniformGridEnvironment inc;
+  UniformGridEnvironment reused;
   Random rng(29);
-  RunMotionProperty(rm, param, inc, 6, [&](uint64_t s) {
+  RunMotionProperty(rm, param, reused, 6, [&](uint64_t s) {
     if (s == 2 || s == 4) {
       NewAgentSpec spec;
       spec.position = rng.UniformInCube(0.0, 64.0);
@@ -200,82 +204,98 @@ TEST(IncrementalGridTest, PopulationGrowthForcesFullRebuild) {
       rm.positions()[s].x = 32.0;  // keep some motion in the quiet steps
     }
   });
-  // Initial build + the two growth steps rebuilt; the rest patched.
-  EXPECT_EQ(inc.update_stats().full_rebuilds, 3u);
-  EXPECT_EQ(inc.update_stats().incremental_updates, 4u);
+  ExpectOnlyFullBuilds(reused, 7);
 }
 
 TEST(IncrementalGridTest, RemovalForcesFullRebuild) {
-  // Swap-with-last removal renumbers rows, so the previous agent->box map
-  // is meaningless; the count gate catches it before any stale patch.
+  // Swap-with-last removal renumbers rows; the rebuilt runs must follow.
   Param param = TorusParam(64.0);
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 100, 0.0, 64.0, 8.0, /*seed=*/31);
-  UniformGridEnvironment inc;
-  RunMotionProperty(rm, param, inc, 4, [&](uint64_t s) {
+  UniformGridEnvironment reused;
+  RunMotionProperty(rm, param, reused, 4, [&](uint64_t s) {
     if (s == 1) {
       rm.PushDeferredRemoval(7);
       rm.PushDeferredRemoval(42);
       rm.CommitStructuralChanges();
     }
   });
-  EXPECT_EQ(inc.update_stats().full_rebuilds, 2u);
+  ExpectOnlyFullBuilds(reused, 5);
+}
+
+TEST(IncrementalGridTest, MovingOpenDomainReconfiguresCleanly) {
+  // Without a torus or fixed bounds the lattice follows rm.Bounds(): as the
+  // cloud spreads and then contracts, the window is reconfigured every step
+  // — growing, then shrinking — and each step must clear the previous
+  // build's map entries under the previous layout.
+  Param param;  // open boundary
+  ResourceManager rm;
+  testutil::FillRandomCells(&rm, 200, 20.0, 60.0, 8.0, /*seed=*/47);
+  UniformGridEnvironment reused;
+  RunMotionProperty(rm, param, reused, 8, [&](uint64_t s) {
+    const double scale = s < 4 ? 1.3 : 0.7;
+    for (auto& p : rm.positions()) {
+      for (double* c : {&p.x, &p.y, &p.z}) {
+        *c = 40.0 + (*c - 40.0) * scale;
+      }
+    }
+  });
+  ExpectOnlyFullBuilds(reused, 9);
 }
 
 TEST(IncrementalGridTest, MassMotionFallsBackToFullRebuild) {
-  // When most agents cross boxes, patching costs more than rebuilding; the
-  // fallback threshold must hand the step to the full path — and the
-  // structures must still match the reference afterwards.
+  // Every agent crosses a box face: every occupied box of the last step is
+  // cleared and a new set is filled.
   Param param = TorusParam(64.0);
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 200, 0.0, 64.0, 8.0, /*seed=*/37);
-  UniformGridEnvironment inc;
-  RunMotionProperty(rm, param, inc, 2, [&](uint64_t) {
+  UniformGridEnvironment reused;
+  RunMotionProperty(rm, param, reused, 2, [&](uint64_t) {
     for (auto& p : rm.positions()) {  // everyone shifts one full box
       p.x += 8.0;
       if (p.x >= 64.0) p.x -= 64.0;
     }
   });
-  EXPECT_EQ(inc.update_stats().full_rebuilds, 3u);
-  EXPECT_EQ(inc.update_stats().incremental_updates, 0u);
+  ExpectOnlyFullBuilds(reused, 3);
 }
 
-TEST(IncrementalGridTest, StationaryPopulationIsANoOpPatch) {
+TEST(IncrementalGridTest, StationaryPopulationRebuildsIdentically) {
   Param param = TorusParam(64.0);
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 100, 0.0, 64.0, 8.0, /*seed=*/41);
-  UniformGridEnvironment inc;
-  RunMotionProperty(rm, param, inc, 3, [&](uint64_t) {});
-  EXPECT_EQ(inc.update_stats().full_rebuilds, 1u);
-  EXPECT_EQ(inc.update_stats().incremental_updates, 3u);
-  EXPECT_EQ(inc.update_stats().rebinned_agents, 0u);
+  UniformGridEnvironment reused;
+  RunMotionProperty(rm, param, reused, 3, [&](uint64_t) {});
+  ExpectOnlyFullBuilds(reused, 4);
 }
 
 TEST(IncrementalGridTest, DisablingTheKnobAlwaysRebuilds) {
+  // Param::incremental_grid is a no-op: off and on both build from scratch.
   Param param = TorusParam(64.0);
   param.incremental_grid = false;
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 50, 0.0, 64.0, 8.0, /*seed=*/43);
-  UniformGridEnvironment inc;
-  RunMotionProperty(rm, param, inc, 3, [&](uint64_t) {});
-  EXPECT_EQ(inc.update_stats().full_rebuilds, 4u);
-  EXPECT_EQ(inc.update_stats().incremental_updates, 0u);
+  UniformGridEnvironment off;
+  RunMotionProperty(rm, param, off, 3, [&](uint64_t) {});
+  ExpectOnlyFullBuilds(off, 4);
+  param.incremental_grid = true;
+  UniformGridEnvironment on;
+  on.Update(rm, param, ExecMode::kParallel);
+  ExpectGridsIdentical(on, off, "knob on");
 }
 
 TEST(IncrementalGridTest, CsrAgentCountGuardThrowsPastInt32) {
-  // The CSR offsets are int32 (shared with the GPU layout); the scan would
+  // The CSR offsets are int32 (shared with the GPU layout); they would
   // wrap silently past 2^31-1 agents. The guard is static so it is testable
   // without allocating 16 GiB of agents.
-  EXPECT_NO_THROW(UniformGridEnvironment::CheckCsrAgentCount(0));
-  EXPECT_NO_THROW(UniformGridEnvironment::CheckCsrAgentCount(1u << 20));
-  EXPECT_NO_THROW(UniformGridEnvironment::CheckCsrAgentCount(
-      static_cast<size_t>(INT32_MAX)));
-  EXPECT_THROW(UniformGridEnvironment::CheckCsrAgentCount(
-                   static_cast<size_t>(INT32_MAX) + 1),
-               std::length_error);
+  EXPECT_NO_THROW(CompactGrid::CheckCsrAgentCount(0));
+  EXPECT_NO_THROW(CompactGrid::CheckCsrAgentCount(1u << 20));
+  EXPECT_NO_THROW(
+      CompactGrid::CheckCsrAgentCount(static_cast<size_t>(INT32_MAX)));
   EXPECT_THROW(
-      UniformGridEnvironment::CheckCsrAgentCount(size_t{1} << 40),
+      CompactGrid::CheckCsrAgentCount(static_cast<size_t>(INT32_MAX) + 1),
       std::length_error);
+  EXPECT_THROW(CompactGrid::CheckCsrAgentCount(size_t{1} << 40),
+               std::length_error);
 }
 
 }  // namespace

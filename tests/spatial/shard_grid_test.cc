@@ -1,7 +1,8 @@
-// ShardGrid: the per-shard occupancy-compacted CSR must present, for every
-// owned box, exactly the candidate runs the global uniform grid's CSR
-// presents — same rows, same ascending order, same canonical 27-block
-// enumeration — while storing only occupied boxes (spatial/shard_grid.h).
+// Shard windows of the compacted grid (spatial/compact_grid.h): a shard's
+// CSR over its owned planes +-1 must present, for every owned box, exactly
+// the candidate runs the global uniform grid presents — same rows, same
+// ascending order, same canonical 27-block enumeration — while storing only
+// occupied boxes.
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
@@ -13,7 +14,7 @@
 #include "core/random.h"
 #include "core/resource_manager.h"
 #include "spatial/grid_geometry.h"
-#include "spatial/shard_grid.h"
+#include "spatial/compact_grid.h"
 #include "spatial/shard_partition.h"
 #include "spatial/uniform_grid.h"
 
@@ -42,35 +43,33 @@ TEST(ShardGridTest, SingleShardReproducesTheGlobalCsrRuns) {
   grid.Update(rm, p, ExecMode::kSerial);
   const GridGeometry& g = grid.geometry();
 
-  ShardGrid sg;
-  sg.Configure(g, 0, g.num_boxes_axis.z);
+  CompactGrid sg;
+  sg.Configure(g, 0, g.num_boxes_axis.z, /*halo=*/1);
   std::vector<int32_t> members(rm.size());
   std::iota(members.begin(), members.end(), 0);
-  sg.Update(members, rm.positions().data());
+  sg.Build(members.data(), members.size(), rm.positions().data(),
+           ExecMode::kSerial);
 
   // Every agent present exactly once, in a box-run that matches the global
   // grid's run for the same box.
-  EXPECT_EQ(sg.box_agents().size(), rm.size());
-  ASSERT_EQ(sg.owned_boxes().size(), sg.occupied_boxes());
-  for (const auto& [wb, slot] : sg.owned_boxes()) {
-    const int32_t begin = sg.box_starts()[slot];
-    const int32_t end = sg.box_starts()[slot + 1];
+  EXPECT_EQ(sg.agents().size(), rm.size());
+  ASSERT_EQ(sg.owned_slots(), sg.occupied_boxes());
+  for (uint32_t slot = 0; slot < sg.owned_slots(); ++slot) {
+    const int32_t begin = sg.starts()[slot];
+    const int32_t end = sg.starts()[slot + 1];
     ASSERT_LT(begin, end);
     // Rows ascending within the run.
     for (int32_t i = begin + 1; i < end; ++i) {
-      EXPECT_LT(sg.box_agents()[i - 1], sg.box_agents()[i]);
+      EXPECT_LT(sg.agents()[i - 1], sg.agents()[i]);
     }
     // The global grid bins the first resident into the same box as the rest.
     const auto c = g.BoxCoordinatesOf(
-        rm.positions()[static_cast<size_t>(sg.box_agents()[begin])]);
-    const size_t global_box = g.FlatBoxIndex(c);
-    const auto& starts = grid.box_starts();
-    const auto& agents = grid.box_agents();
-    const int32_t gb = starts[global_box];
-    const int32_t ge = starts[global_box + 1];
-    ASSERT_EQ(ge - gb, end - begin) << "run length mismatch";
+        rm.positions()[static_cast<size_t>(sg.agents()[begin])]);
+    const auto run = grid.csr().RunOf(c);
+    ASSERT_EQ(static_cast<int32_t>(run.size()), end - begin)
+        << "run length mismatch";
     for (int32_t i = 0; i < end - begin; ++i) {
-      EXPECT_EQ(agents[gb + i], sg.box_agents()[begin + i]);
+      EXPECT_EQ(run[static_cast<size_t>(i)], sg.agents()[begin + i]);
     }
   }
 }
@@ -84,14 +83,15 @@ TEST(ShardGridTest, NeighborSlotsEnumerateCanonicalOrderSkippingEmpties) {
   grid.Update(rm, p, ExecMode::kSerial);
   const GridGeometry& g = grid.geometry();
 
-  ShardGrid sg;
-  sg.Configure(g, 0, g.num_boxes_axis.z);
+  CompactGrid sg;
+  sg.Configure(g, 0, g.num_boxes_axis.z, /*halo=*/1);
   std::vector<int32_t> members(rm.size());
   std::iota(members.begin(), members.end(), 0);
-  sg.Update(members, rm.positions().data());
+  sg.Build(members.data(), members.size(), rm.positions().data(),
+           ExecMode::kSerial);
 
   CsrGridView view = sg.View();
-  for (const auto& [wb, slot] : sg.owned_boxes()) {
+  for (uint32_t slot = 0; slot < sg.owned_slots(); ++slot) {
     size_t shard_slots[27];
     const int shard_count = view.neighbor_slots(view.self, slot, shard_slots);
 
@@ -99,24 +99,24 @@ TEST(ShardGridTest, NeighborSlotsEnumerateCanonicalOrderSkippingEmpties) {
     // match the shard's slot sequence element-wise (mapped through the
     // shard's runs).
     const auto c = g.BoxCoordinatesOf(
-        rm.positions()[static_cast<size_t>(sg.box_agents()[sg.box_starts()[slot]])]);
+        rm.positions()[static_cast<size_t>(sg.agents()[sg.starts()[slot]])]);
     size_t global_boxes[27];
     const int global_count = g.NeighborBoxesOf(c, global_boxes);
     int matched = 0;
     for (int b = 0; b < global_count; ++b) {
-      const int32_t gb = grid.box_starts()[global_boxes[b]];
-      const int32_t ge = grid.box_starts()[global_boxes[b] + 1];
-      if (gb == ge) {
+      const auto run =
+          grid.csr().RunOf(g.BoxCoordinatesOfIndex(global_boxes[b]));
+      if (run.empty()) {
         continue;  // empty in the global grid -> shard has no slot for it
       }
       ASSERT_LT(matched, shard_count);
       const size_t s2 = shard_slots[matched++];
       // Same resident run.
-      const int32_t sb = sg.box_starts()[s2];
-      const int32_t se = sg.box_starts()[s2 + 1];
-      ASSERT_EQ(se - sb, ge - gb);
-      for (int32_t i = 0; i < ge - gb; ++i) {
-        EXPECT_EQ(sg.box_agents()[sb + i], grid.box_agents()[gb + i]);
+      const int32_t sb = sg.starts()[s2];
+      const int32_t se = sg.starts()[s2 + 1];
+      ASSERT_EQ(static_cast<size_t>(se - sb), run.size());
+      for (size_t i = 0; i < run.size(); ++i) {
+        EXPECT_EQ(sg.agents()[static_cast<size_t>(sb) + i], run[i]);
       }
     }
     EXPECT_EQ(matched, shard_count);
@@ -157,12 +157,13 @@ TEST(ShardGridTest, PartitionedShardsCoverEveryGlobalRunExactlyOnce) {
 
     size_t rows_covered = 0;
     for (uint32_t k = 0; k < shards; ++k) {
-      ShardGrid sg;
-      sg.Configure(g, part.first_plane(k), part.end_plane(k));
-      sg.Update(members[k], rm.positions().data());
-      for (const auto& [wb, slot] : sg.owned_boxes()) {
-        rows_covered += static_cast<size_t>(sg.box_starts()[slot + 1] -
-                                            sg.box_starts()[slot]);
+      CompactGrid sg;
+      sg.Configure(g, part.first_plane(k), part.end_plane(k), /*halo=*/1);
+      sg.Build(members[k].data(), members[k].size(), rm.positions().data(),
+               ExecMode::kSerial);
+      for (uint32_t slot = 0; slot < sg.owned_slots(); ++slot) {
+        rows_covered += static_cast<size_t>(sg.starts()[slot + 1] -
+                                            sg.starts()[slot]);
       }
     }
     // The owned boxes of all shards partition the population: every row in
@@ -182,8 +183,8 @@ TEST(ShardGridTest, MemberOutsideWindowThrows) {
   if (g.num_boxes_axis.z < 4) {
     GTEST_SKIP() << "domain too flat to have an out-of-window plane";
   }
-  ShardGrid sg;
-  sg.Configure(g, 0, 1);  // window = planes {0, 1} (clamped below)
+  CompactGrid sg;
+  sg.Configure(g, 0, 1, /*halo=*/1);  // window = planes {0, 1}
   // Find a row binned far outside the window.
   int32_t outside = -1;
   for (size_t i = 0; i < rm.size(); ++i) {
@@ -194,7 +195,9 @@ TEST(ShardGridTest, MemberOutsideWindowThrows) {
   }
   ASSERT_GE(outside, 0);
   std::vector<int32_t> members{outside};
-  EXPECT_THROW(sg.Update(members, rm.positions().data()), std::logic_error);
+  EXPECT_THROW(sg.Build(members.data(), members.size(), rm.positions().data(),
+                        ExecMode::kSerial),
+               std::logic_error);
 }
 
 TEST(ShardGridTest, UpdateIsIdempotentAcrossRebuilds) {
@@ -205,18 +208,76 @@ TEST(ShardGridTest, UpdateIsIdempotentAcrossRebuilds) {
   grid.Update(rm, p, ExecMode::kSerial);
   const GridGeometry& g = grid.geometry();
 
-  ShardGrid sg;
-  sg.Configure(g, 0, g.num_boxes_axis.z);
+  CompactGrid sg;
+  sg.Configure(g, 0, g.num_boxes_axis.z, /*halo=*/1);
   std::vector<int32_t> members(rm.size());
   std::iota(members.begin(), members.end(), 0);
-  sg.Update(members, rm.positions().data());
-  const auto starts = sg.box_starts();
-  const auto agents = sg.box_agents();
-  const auto owned = sg.owned_boxes();
-  sg.Update(members, rm.positions().data());
-  EXPECT_EQ(sg.box_starts(), starts);
-  EXPECT_EQ(sg.box_agents(), agents);
-  EXPECT_EQ(sg.owned_boxes(), owned);
+  sg.Build(members.data(), members.size(), rm.positions().data(),
+           ExecMode::kSerial);
+  const auto starts = sg.starts();
+  const auto agents = sg.agents();
+  const auto boxes = sg.slot_boxes();
+  const size_t owned = sg.owned_slots();
+  sg.Build(members.data(), members.size(), rm.positions().data(),
+           ExecMode::kSerial);
+  EXPECT_EQ(sg.starts(), starts);
+  EXPECT_EQ(sg.agents(), agents);
+  EXPECT_EQ(sg.slot_boxes(), boxes);
+  EXPECT_EQ(sg.owned_slots(), owned);
+}
+
+TEST(ShardGridTest, CsrAgentCountGuardThrowsPastInt32) {
+  // A shard's starts/agents are int32 like the global grid's: the shared
+  // builder checks the member count before it reads a single row, so the
+  // guard is testable on a shard window without allocating 2^31 members.
+  Param p;
+  p.max_bound = 120.0;
+  auto rm = MakePopulation(50, 0.0, 120.0, 3);
+  const GridGeometry g = GridGeometry::Derive(rm, p);
+  CompactGrid sg;
+  sg.Configure(g, 0, 1, /*halo=*/1);
+  EXPECT_THROW(sg.Build(nullptr, static_cast<size_t>(INT32_MAX) + 1, nullptr,
+                        ExecMode::kSerial),
+               std::length_error);
+  EXPECT_THROW(CompactGrid::CheckCsrAgentCount(size_t{1} << 40),
+               std::length_error);
+  // The grid is still usable after the rejected build.
+  std::vector<int32_t> members;
+  for (size_t i = 0; i < rm.size(); ++i) {
+    if (g.BoxCoordinatesOf(rm.positions()[i]).z <= 1) {
+      members.push_back(static_cast<int32_t>(i));
+    }
+  }
+  sg.Build(members.data(), members.size(), rm.positions().data(),
+           ExecMode::kSerial);
+  EXPECT_EQ(sg.agents().size(), members.size());
+}
+
+TEST(ShardGridTest, OwnedSlotsAreThePrefixOfOwnedPlanes) {
+  // Window planes are numbered owned planes first, so the force pass's
+  // traversal range [0, owned_slots()) holds exactly the occupied boxes of
+  // the owned planes, and the halo boxes follow.
+  Param p;
+  p.max_bound = 160.0;
+  p.boundary_mode = BoundaryMode::kTorus;
+  auto rm = MakePopulation(400, 0.0, 160.0, 11);
+  const GridGeometry g = GridGeometry::Derive(rm, p);
+  CompactGrid sg;
+  sg.Configure(g, 3, 7, /*halo=*/1);
+  std::vector<int32_t> members;
+  for (size_t i = 0; i < rm.size(); ++i) {
+    const int32_t z = g.BoxCoordinatesOf(rm.positions()[i]).z;
+    if (z >= 2 && z <= 7) {
+      members.push_back(static_cast<int32_t>(i));
+    }
+  }
+  sg.Build(members.data(), members.size(), rm.positions().data(),
+           ExecMode::kSerial);
+  ASSERT_LT(sg.owned_slots(), sg.occupied_boxes());
+  for (uint32_t s = 0; s < sg.occupied_boxes(); ++s) {
+    const int32_t z = sg.SlotCoordinates(s).z;
+    EXPECT_EQ(s < sg.owned_slots(), z >= 3 && z < 7) << "slot " << s;
+  }
 }
 
 TEST(ShardPartitionTest, StaticSplitCoversAllPlanesContiguously) {

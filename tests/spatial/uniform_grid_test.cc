@@ -37,20 +37,26 @@ TEST(UniformGridTest, EveryAgentIsInItsBoxChain) {
   UniformGridEnvironment env;
   env.Update(rm, param, ExecMode::kSerial);
 
-  // Walk all box chains and check each agent appears exactly once, in the
-  // box its position maps to.
+  // Walk every box's run (the host form of Fig. 5's box chain) and check
+  // each agent appears exactly once, in the box its position maps to, and
+  // that only occupied boxes are stored.
+  const CompactGrid& csr = env.csr();
+  const GridGeometry& g = env.geometry();
   std::set<int32_t> seen;
   size_t total = 0;
-  for (size_t b = 0; b < env.total_boxes(); ++b) {
-    size_t chain_len = 0;
-    for (int32_t j = env.box_start(b); j != UniformGridEnvironment::kEmpty;
-         j = env.successors()[j]) {
-      EXPECT_TRUE(seen.insert(j).second) << "agent " << j << " linked twice";
-      EXPECT_EQ(env.BoxIndexOf(rm.positions()[j]), b);
-      ++chain_len;
+  for (uint32_t s = 0; s < csr.occupied_boxes(); ++s) {
+    const Int3 c = csr.SlotCoordinates(s);
+    EXPECT_EQ(csr.slot_boxes()[s], g.FlatBoxIndex(c));
+    const int32_t begin = csr.starts()[s];
+    const int32_t end = csr.starts()[s + 1];
+    EXPECT_LT(begin, end) << "slot " << s << " stores an empty box";
+    for (int32_t t = begin; t < end; ++t) {
+      const int32_t j = csr.agents()[t];
+      EXPECT_TRUE(seen.insert(j).second) << "agent " << j << " stored twice";
+      EXPECT_EQ(g.FlatBoxIndex(g.BoxCoordinatesOf(rm.positions()[j])),
+                g.FlatBoxIndex(c));
       ++total;
     }
-    EXPECT_EQ(static_cast<int32_t>(chain_len), env.box_count(b));
   }
   EXPECT_EQ(total, rm.size());
 }
@@ -208,19 +214,18 @@ TEST(UniformGridTest, UpdateRejectsFixedBoxSmallerThanInteractionRadius) {
 }
 
 TEST(UniformGridTest, BoxChainsAreCanonicalAscendingAfterParallelBuild) {
-  // The determinism tentpole's spatial half: whatever interleaving built
-  // the linked lists, Update leaves every chain sorted by agent index.
+  // The determinism tentpole's spatial half: whatever chunking built the
+  // grid, Update leaves every box's run (its chain) sorted by agent index.
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 500, 0.0, 30.0, 10.0, /*seed=*/3);
   Param param;
   UniformGridEnvironment env;
   env.Update(rm, param, ExecMode::kParallel);
-  for (size_t b = 0; b < env.total_boxes(); ++b) {
-    int32_t prev = -1;
-    for (int32_t j = env.box_start(b); j != UniformGridEnvironment::kEmpty;
-         j = env.successors()[j]) {
-      EXPECT_GT(j, prev) << "box " << b << " chain is not ascending";
-      prev = j;
+  const CompactGrid& csr = env.csr();
+  for (uint32_t s = 0; s < csr.occupied_boxes(); ++s) {
+    for (int32_t t = csr.starts()[s] + 1; t < csr.starts()[s + 1]; ++t) {
+      EXPECT_GT(csr.agents()[t], csr.agents()[t - 1])
+          << "slot " << s << " run is not ascending";
     }
   }
 }

@@ -2,13 +2,44 @@
 #ifndef BIOSIM_TESTS_TEST_UTIL_H_
 #define BIOSIM_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "core/random.h"
 #include "core/resource_manager.h"
 
 namespace biosim::testutil {
+
+/// A directory no other test shares: ::testing::TempDir() plus the running
+/// test's full name and the process id, created on first use. ctest runs
+/// every discovered test in its own process, so tests that wrote fixed file
+/// names into TempDir() overwrote each other's files under `ctest -j`.
+inline std::string UniqueTestDir() {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = info == nullptr
+                         ? std::string("no_test")
+                         : std::string(info->test_suite_name()) + "." +
+                               info->name();
+  // Parameterized names carry '/'.
+  std::replace(name.begin(), name.end(), '/', '_');
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("biosim_" + name + "_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  return dir.string() + "/";
+}
+
+/// Path of `name` inside UniqueTestDir().
+inline std::string TestPath(const std::string& name) {
+  return UniqueTestDir() + name;
+}
 
 /// Populate `rm` with `n` cells of the given diameter at uniform random
 /// positions inside [lo, hi)^3.

@@ -2,8 +2,7 @@
 //
 //   biosim_run [config.ini] [--steps N] [--backend cpu|gpu] [--threads N]
 //              [--cpu-fast-path BOOL] [--simd BOOL] [--precision fp64|fp32]
-//              [--zorder-every N] [--incremental-grid BOOL]
-//              [--overlap-ops BOOL] [--shards N]
+//              [--zorder-every N] [--overlap-ops BOOL] [--shards N]
 //              [--shard-balance static|adaptive] [--print-config]
 //              [--sanitize] [--trace FILE] [--metrics FILE]
 //              [--metrics-every N] [--report FILE] [--json]
@@ -104,7 +103,7 @@ int main(int argc, char** argv) {
                  "usage: %s [config.ini] [--steps N] [--backend cpu|gpu] "
                  "[--threads N] [--cpu-fast-path BOOL] [--simd BOOL] "
                  "[--precision fp64|fp32] [--zorder-every N] "
-                 "[--incremental-grid BOOL] [--overlap-ops BOOL] "
+                 "[--overlap-ops BOOL] "
                  "[--shards N] [--shard-balance static|adaptive] "
                  "[--print-config] [--sanitize] [--trace FILE] "
                  "[--metrics FILE] [--metrics-every N] [--report FILE] "
@@ -146,9 +145,6 @@ int main(int argc, char** argv) {
         cfg.precision = value;
       } else if (FlagValue(argc, argv, &i, "--zorder-every", &value)) {
         cfg.zorder_every = static_cast<uint64_t>(std::atoll(value.c_str()));
-      } else if (FlagValue(argc, argv, &i, "--incremental-grid", &value)) {
-        cfg.incremental_grid =
-            value == "1" || value == "true" || value == "on";
       } else if (FlagValue(argc, argv, &i, "--overlap-ops", &value)) {
         cfg.overlap_ops = value == "1" || value == "true" || value == "on";
       } else if (FlagValue(argc, argv, &i, "--shards", &value)) {
