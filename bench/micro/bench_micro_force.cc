@@ -119,20 +119,27 @@ struct PathTiming {
   size_t force_evals = 0;
 };
 
-/// Best-of-`reps` wall time of one ComputeDisplacements pass. The grid is
-/// already up to date and positions never change (displacements are only
-/// buffered), so this isolates the force kernel both paths share a contract
-/// for; the grid build is identical work on either path.
+/// One of MechanicalForcesOp's displacement entry points.
+using ForcePass = void (MechanicalForcesOp::*)(const ResourceManager&,
+                                               const Environment&,
+                                               const Param&, ExecMode);
+
+/// Best-of-`reps` wall time of one `pass` (by default ComputeDisplacements,
+/// which takes the fused path on the grid). The grid is already up to date
+/// and positions never change (displacements are only buffered), so this
+/// isolates the force kernel both paths share a contract for; the grid
+/// build is identical work on either path.
 PathTiming TimePath(const ResourceManager& rm, const UniformGridEnvironment& env,
                     const Param& param, ExecMode mode, int reps,
-                    MechanicalForcesOp* op) {
+                    MechanicalForcesOp* op,
+                    ForcePass pass = &MechanicalForcesOp::ComputeDisplacements) {
   PathTiming t;
-  op->ComputeDisplacements(rm, env, param, mode);  // warm-up (buffer growth)
+  (op->*pass)(rm, env, param, mode);  // warm-up (buffer growth)
   t.force_evals = op->last_force_evaluations();
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
     Timer timer;
-    op->ComputeDisplacements(rm, env, param, mode);
+    (op->*pass)(rm, env, param, mode);
     best = std::min(best, timer.ElapsedMs());
   }
   t.best_ms = best;
@@ -164,17 +171,14 @@ int WriteBenchJson(const std::string& path, size_t agents, int reps) {
 
   MechanicalForcesOp generic_op;
   MechanicalForcesOp fused_op;
-  Param generic_param = param;
-  generic_param.cpu_fast_path = false;
-  Param fused_param = param;
-  fused_param.cpu_fast_path = true;
 
   PathTiming generic =
-      TimePath(rm, env, generic_param, ExecMode::kSerial, reps, &generic_op);
+      TimePath(rm, env, param, ExecMode::kSerial, reps, &generic_op,
+               &MechanicalForcesOp::ComputeDisplacementsGeneric);
   PathTiming fused =
-      TimePath(rm, env, fused_param, ExecMode::kSerial, reps, &fused_op);
+      TimePath(rm, env, param, ExecMode::kSerial, reps, &fused_op);
   PathTiming fused_mt =
-      TimePath(rm, env, fused_param, ExecMode::kParallel, reps, &fused_op);
+      TimePath(rm, env, param, ExecMode::kParallel, reps, &fused_op);
 
   // The parity gate: both paths owe the identical (neighbor, d^2) visit
   // sequence, hence equal evaluation counts and bitwise-equal buffers.
@@ -190,7 +194,7 @@ int WriteBenchJson(const std::string& path, size_t agents, int reps) {
   // FP32 bound matches the cpu_fp32 parity row.
   MechanicalForcesOp simd_op;
   MechanicalForcesOp fp32_op;
-  Param simd_param = fused_param;
+  Param simd_param = param;
   simd_param.cpu_simd = true;
   Param fp32_param = simd_param;
   fp32_param.precision = Precision::kFp32;
@@ -215,7 +219,7 @@ int WriteBenchJson(const std::string& path, size_t agents, int reps) {
   SortAgentsByZOrder(rm, kDiameter, ExecMode::kSerial);
   env.Update(rm, param, ExecMode::kSerial);
   PathTiming fused_z =
-      TimePath(rm, env, fused_param, ExecMode::kSerial, reps, &fused_op);
+      TimePath(rm, env, param, ExecMode::kSerial, reps, &fused_op);
   parity = parity && fused_z.force_evals == fused.force_evals;
 
   json::Value doc = biosim::obs::MakeRunReport("bench_micro_force");

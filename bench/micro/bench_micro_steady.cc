@@ -1,23 +1,20 @@
 // Steady-state pipeline benchmark: a slow-moving random-walk population on
 // a torus whose grid geometry never changes, while the box count dwarfs the
 // agent count — the regime where a grid that scales with boxes instead of
-// agents dominates the step — plus the overlapped mechanics/diffusion graph
-// (Param::overlap_ops).
+// agents dominates the step.
 //
 // `--json PATH` writes the BENCH_cpu.json "steady" record CI gates on, from
-// three runs of the same seeded agents —
-//   full      overlap_ops off
-//   overlap   overlap_ops on
-//   lattice8  overlap_ops off, cube edge doubled: 8x the grid boxes
+// two runs of the same seeded agents —
+//   full      the bench lattice
+//   lattice8  cube edge doubled: 8x the grid boxes
 // with each run's wall time and its grid + mechanics time (the
 // "neighborhood update" and "mechanical forces" ops), each the best of
-// kRepeats runs taken in turns, so a slow phase of a shared host hits all
-// three alike rather than one of them. `lattice8_ratio` is
-// lattice8's grid + mechanics time over full's: the compacted grid costs
-// O(agents + occupied boxes), so it stays near 1. `full` and `overlap` owe
-// the identical final StateHash (overlap is bitwise-neutral by contract),
-// and every repeat owes its first run's; the run exits 2 otherwise, so the
-// CI perf job doubles as a correctness gate. `--agents N` / `--steps N` resize the scenario
+// kRepeats runs taken in turns, so a slow phase of a shared host hits both
+// alike rather than one of them. `lattice8_ratio` is lattice8's grid +
+// mechanics time over full's: the compacted grid costs O(agents + occupied
+// boxes), so it stays near 1. Every repeat of a run owes its first run's
+// final StateHash; the run exits 2 otherwise, so the CI perf job doubles
+// as a correctness gate. `--agents N` / `--steps N` resize the scenario
 // (defaults: 32768 agents, 30 timed steps).
 #include <benchmark/benchmark.h>
 
@@ -57,14 +54,12 @@ constexpr size_t kSecretionStride = 16;
 constexpr uint64_t kWarmupSteps = 2;
 constexpr int kRepeats = 5;
 
-std::unique_ptr<Simulation> BuildSteady(size_t agents, bool overlap,
-                                        double edge = kEdge) {
+std::unique_ptr<Simulation> BuildSteady(size_t agents, double edge = kEdge) {
   Param param;
   param.boundary_mode = BoundaryMode::kTorus;
   param.min_bound = 0.0;
   param.max_bound = edge;
   param.random_seed = 42;
-  param.overlap_ops = overlap;
   auto sim = std::make_unique<Simulation>(param);
   sim->CreateRandomCells(agents, kDiameter);
   sim->AddDiffusionGrid(std::make_unique<DiffusionGrid>(
@@ -99,9 +94,8 @@ double GridMechanicsMs(const OpProfile& profile) {
   return ms;
 }
 
-SteadyResult RunSteady(size_t agents, uint64_t steps, bool overlap,
-                       double edge = kEdge) {
-  auto sim = BuildSteady(agents, overlap, edge);
+SteadyResult RunSteady(size_t agents, uint64_t steps, double edge = kEdge) {
+  auto sim = BuildSteady(agents, edge);
   sim->Simulate(kWarmupSteps);  // first grid build + buffer growth
   const double before = GridMechanicsMs(sim->profile());
   Timer t;
@@ -111,8 +105,8 @@ SteadyResult RunSteady(size_t agents, uint64_t steps, bool overlap,
   r.grid_mechanics_ms = GridMechanicsMs(sim->profile()) - before;
   r.final_hash = sim->StateHash();
   if (std::getenv("STEADY_PROFILE") != nullptr) {
-    std::fprintf(stderr, "--- overlap=%d edge=%g ---\n%s\n", overlap ? 1 : 0,
-                 edge, sim->profile().ToString().c_str());
+    std::fprintf(stderr, "--- edge=%g ---\n%s\n", edge,
+                 sim->profile().ToString().c_str());
   }
   if (const auto* ug =
           dynamic_cast<const UniformGridEnvironment*>(&sim->environment())) {
@@ -125,7 +119,7 @@ SteadyResult RunSteady(size_t agents, uint64_t steps, bool overlap,
 // Micro view: one grid Update over an unchanged steady population, on the
 // bench lattice and on the 8x lattice.
 void GridUpdateThroughput(benchmark::State& state, double edge) {
-  auto sim = BuildSteady(8192, false, edge);
+  auto sim = BuildSteady(8192, edge);
   const Param param = sim->param();
   UniformGridEnvironment env;
   env.Update(sim->rm(), param, ExecMode::kSerial);
@@ -164,21 +158,14 @@ bool KeepBest(SteadyResult* best, const SteadyResult& r) {
 }
 
 int WriteBenchJson(const std::string& path, size_t agents, uint64_t steps) {
-  SteadyResult full = RunSteady(agents, steps, false);
-  SteadyResult overlap = RunSteady(agents, steps, true);
-  SteadyResult lattice8 = RunSteady(agents, steps, false, 2.0 * kEdge);
-  bool repeats_agree = true;
+  SteadyResult full = RunSteady(agents, steps);
+  SteadyResult lattice8 = RunSteady(agents, steps, 2.0 * kEdge);
+  bool hash_parity = true;
   for (int rep = 1; rep < kRepeats; ++rep) {
-    repeats_agree &= KeepBest(&full, RunSteady(agents, steps, false));
-    repeats_agree &= KeepBest(&overlap, RunSteady(agents, steps, true));
-    repeats_agree &=
-        KeepBest(&lattice8, RunSteady(agents, steps, false, 2.0 * kEdge));
+    hash_parity &= KeepBest(&full, RunSteady(agents, steps));
+    hash_parity &= KeepBest(&lattice8, RunSteady(agents, steps, 2.0 * kEdge));
   }
 
-  const bool hash_parity =
-      full.final_hash == overlap.final_hash && repeats_agree;
-  const double speedup_total =
-      overlap.wall_ms > 0.0 ? full.wall_ms / overlap.wall_ms : 0.0;
   const double lattice8_ratio =
       full.grid_mechanics_ms > 0.0
           ? lattice8.grid_mechanics_ms / full.grid_mechanics_ms
@@ -197,9 +184,7 @@ int WriteBenchJson(const std::string& path, size_t agents, uint64_t steps) {
   sc.Set("walk_speed", kWalkSpeed);
   doc.Set("scenario", std::move(sc));
   doc.Set("full", RunRecord(full));
-  doc.Set("overlap", RunRecord(overlap));
   doc.Set("lattice8", RunRecord(lattice8));
-  doc.Set("speedup_total", speedup_total);
   doc.Set("lattice8_ratio", lattice8_ratio);
   doc.Set("hash_parity", hash_parity);
 
@@ -208,17 +193,16 @@ int WriteBenchJson(const std::string& path, size_t agents, uint64_t steps) {
     return 1;
   }
   std::printf(
-      "wrote %s: full %.2f ms (grid+mechanics %.2f ms), overlap %.2f ms "
-      "(%.2fx), 8x lattice grid+mechanics %.2f ms (ratio %.3f), hash "
-      "parity %s\n",
-      path.c_str(), full.wall_ms, full.grid_mechanics_ms, overlap.wall_ms,
-      speedup_total, lattice8.grid_mechanics_ms, lattice8_ratio,
-      hash_parity ? "OK" : "FAIL");
+      "wrote %s: full %.2f ms (grid+mechanics %.2f ms), 8x lattice "
+      "grid+mechanics %.2f ms (ratio %.3f), hash parity %s\n",
+      path.c_str(), full.wall_ms, full.grid_mechanics_ms,
+      lattice8.grid_mechanics_ms, lattice8_ratio, hash_parity ? "OK" : "FAIL");
   if (!hash_parity) {
     std::fprintf(stderr,
-                 "error: steady invariant broken (hashes %016llx / %016llx)\n",
+                 "error: steady invariant broken (a repeat's final hash "
+                 "differs from its first run's %016llx / %016llx)\n",
                  static_cast<unsigned long long>(full.final_hash),
-                 static_cast<unsigned long long>(overlap.final_hash));
+                 static_cast<unsigned long long>(lattice8.final_hash));
     return 2;
   }
   return 0;

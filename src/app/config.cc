@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -25,34 +26,50 @@ std::string Trim(const std::string& s) {
                            what);
 }
 
-double ToDouble(const std::string& v, size_t line) {
+}  // namespace
+
+double ToDouble(const std::string& v) {
   char* end = nullptr;
   double d = std::strtod(v.c_str(), &end);
   if (end == v.c_str() || *end != '\0') {
-    Fail(line, "expected a number, got '" + v + "'");
+    throw std::invalid_argument("expected a number, got '" + v + "'");
   }
   return d;
 }
 
-uint64_t ToU64(const std::string& v, size_t line) {
-  double d = ToDouble(v, line);
-  if (d < 0 || d != static_cast<double>(static_cast<uint64_t>(d))) {
-    Fail(line, "expected a non-negative integer, got '" + v + "'");
+uint64_t ToU64(const std::string& v) {
+  char* end = nullptr;
+  const double d = std::strtod(v.c_str(), &end);
+  // 2^64 is exactly representable; anything at or past it would overflow
+  // the cast below.
+  if (end == v.c_str() || *end != '\0' ||
+      !(d >= 0.0 && d < 18446744073709551616.0) ||
+      d != static_cast<double>(static_cast<uint64_t>(d))) {
+    throw std::invalid_argument("expected a non-negative integer, got '" + v +
+                                "'");
   }
   return static_cast<uint64_t>(d);
 }
 
-bool ToBool(const std::string& v, size_t line) {
+uint32_t ToU32(const std::string& v) {
+  const uint64_t u = ToU64(v);
+  if (u > std::numeric_limits<uint32_t>::max()) {
+    throw std::invalid_argument("expected an integer <= 4294967295, got '" +
+                                v + "'");
+  }
+  return static_cast<uint32_t>(u);
+}
+
+bool ToBool(const std::string& v) {
   if (v == "true" || v == "1" || v == "yes" || v == "on") {
     return true;
   }
   if (v == "false" || v == "0" || v == "no" || v == "off") {
     return false;
   }
-  Fail(line, "expected a boolean (true/false), got '" + v + "'");
+  throw std::invalid_argument("expected a boolean (true/false), got '" + v +
+                              "'");
 }
-
-}  // namespace
 
 void RunConfig::Validate() const {
   auto fail = [](const std::string& what) {
@@ -76,10 +93,6 @@ void RunConfig::Validate() const {
     fail("zorder_every is a CPU-path knob (GPU versions 2+ already Z-order "
          "sort on the device)");
   }
-  if (overlap_ops && backend_type == "gpu") {
-    fail("overlap_ops is a CPU-pipeline knob (the GPU backend schedules its "
-         "own kernel stream)");
-  }
   if (substance_resolution == 1) {
     fail("substance_resolution must be 0 (no substance) or >= 2");
   }
@@ -97,24 +110,12 @@ void RunConfig::Validate() const {
     fail("shards is a CPU-pipeline knob (the GPU backend owns the whole "
          "domain)");
   }
-  if (shards > 0 && !cpu_fast_path) {
-    fail("shards drives the fused CSR kernel per shard and requires "
-         "cpu_fast_path");
-  }
-  if (shards > 0 && overlap_ops) {
-    fail("shards and overlap_ops cannot be combined: the sharded pipeline "
-         "schedules mechanics/diffusion itself; disable one");
-  }
   if (precision != "fp64" && precision != "fp32") {
     fail("precision must be fp64 or fp32, got '" + precision + "'");
   }
   if ((simd || precision == "fp32") && backend_type == "gpu") {
     fail("simd / precision are CPU force-kernel knobs (the GPU ladder has "
          "its own FP32 versions)");
-  }
-  if ((simd || precision == "fp32") && !cpu_fast_path) {
-    fail("simd / fp32 precision vectorize the fused kernel and require "
-         "cpu_fast_path");
   }
   if (gpu_device != "1080ti" && gpu_device != "v100") {
     fail("gpu device must be 1080ti or v100, got '" + gpu_device + "'");
@@ -166,134 +167,126 @@ RunConfig ParseConfigString(const std::string& text) {
   RunConfig cfg;
 
   // section -> key -> setter
-  using Setter = std::function<void(const std::string&, size_t)>;
+  using Setter = std::function<void(const std::string&)>;
   std::map<std::string, std::map<std::string, Setter>> schema;
   schema["simulation"] = {
-      {"steps", [&](const std::string& v, size_t l) { cfg.steps = ToU64(v, l); }},
-      {"seed", [&](const std::string& v, size_t l) { cfg.seed = ToU64(v, l); }},
+      {"steps", [&](const std::string& v) { cfg.steps = ToU64(v); }},
+      {"seed", [&](const std::string& v) { cfg.seed = ToU64(v); }},
       {"max_bound",
-       [&](const std::string& v, size_t l) { cfg.max_bound = ToDouble(v, l); }},
+       [&](const std::string& v) { cfg.max_bound = ToDouble(v); }},
       {"timestep",
-       [&](const std::string& v, size_t l) { cfg.timestep = ToDouble(v, l); }},
+       [&](const std::string& v) { cfg.timestep = ToDouble(v); }},
       {"max_displacement",
-       [&](const std::string& v, size_t l) {
-         cfg.max_displacement = ToDouble(v, l);
+       [&](const std::string& v) {
+         cfg.max_displacement = ToDouble(v);
        }},
       {"boundary",
-       [&](const std::string& v, size_t) { cfg.boundary = v; }},
+       [&](const std::string& v) { cfg.boundary = v; }},
       {"threads",
-       [&](const std::string& v, size_t l) {
-         cfg.num_threads = static_cast<uint32_t>(ToU64(v, l));
-       }},
-      {"cpu_fast_path",
-       [&](const std::string& v, size_t l) {
-         cfg.cpu_fast_path = ToBool(v, l);
+       [&](const std::string& v) {
+         cfg.num_threads = ToU32(v);
        }},
       {"simd",
-       [&](const std::string& v, size_t l) { cfg.simd = ToBool(v, l); }},
+       [&](const std::string& v) { cfg.simd = ToBool(v); }},
       {"precision",
-       [&](const std::string& v, size_t) { cfg.precision = v; }},
+       [&](const std::string& v) { cfg.precision = v; }},
       {"zorder_every",
-       [&](const std::string& v, size_t l) {
-         cfg.zorder_every = ToU64(v, l);
-       }},
-      {"overlap_ops",
-       [&](const std::string& v, size_t l) {
-         cfg.overlap_ops = ToBool(v, l);
+       [&](const std::string& v) {
+         cfg.zorder_every = ToU64(v);
        }},
       {"shards",
-       [&](const std::string& v, size_t l) {
-         cfg.shards = static_cast<uint32_t>(ToU64(v, l));
+       [&](const std::string& v) {
+         cfg.shards = ToU32(v);
        }},
       {"shard_balance",
-       [&](const std::string& v, size_t) { cfg.shard_balance = v; }},
+       [&](const std::string& v) { cfg.shard_balance = v; }},
   };
   schema["model"] = {
-      {"type", [&](const std::string& v, size_t) { cfg.model_type = v; }},
+      {"type", [&](const std::string& v) { cfg.model_type = v; }},
       {"cells_per_dim",
-       [&](const std::string& v, size_t l) {
-         cfg.cells_per_dim = static_cast<size_t>(ToU64(v, l));
+       [&](const std::string& v) {
+         cfg.cells_per_dim = static_cast<size_t>(ToU64(v));
        }},
       {"agents",
-       [&](const std::string& v, size_t l) {
-         cfg.agents = static_cast<size_t>(ToU64(v, l));
+       [&](const std::string& v) {
+         cfg.agents = static_cast<size_t>(ToU64(v));
        }},
       {"density",
-       [&](const std::string& v, size_t l) { cfg.density = ToDouble(v, l); }},
+       [&](const std::string& v) { cfg.density = ToDouble(v); }},
       {"diameter",
-       [&](const std::string& v, size_t l) { cfg.diameter = ToDouble(v, l); }},
+       [&](const std::string& v) { cfg.diameter = ToDouble(v); }},
       {"divide_threshold",
-       [&](const std::string& v, size_t l) {
-         cfg.divide_threshold = ToDouble(v, l);
+       [&](const std::string& v) {
+         cfg.divide_threshold = ToDouble(v);
        }},
       {"growth_rate",
-       [&](const std::string& v, size_t l) {
-         cfg.growth_rate = ToDouble(v, l);
+       [&](const std::string& v) {
+         cfg.growth_rate = ToDouble(v);
        }},
       {"substance_resolution",
-       [&](const std::string& v, size_t l) {
-         cfg.substance_resolution = static_cast<size_t>(ToU64(v, l));
+       [&](const std::string& v) {
+         cfg.substance_resolution = static_cast<size_t>(ToU64(v));
        }},
       {"substance_diffusion",
-       [&](const std::string& v, size_t l) {
-         cfg.substance_diffusion = ToDouble(v, l);
+       [&](const std::string& v) {
+         cfg.substance_diffusion = ToDouble(v);
        }},
       {"substance_decay",
-       [&](const std::string& v, size_t l) {
-         cfg.substance_decay = ToDouble(v, l);
+       [&](const std::string& v) {
+         cfg.substance_decay = ToDouble(v);
        }},
       {"secretion_rate",
-       [&](const std::string& v, size_t l) {
-         cfg.secretion_rate = ToDouble(v, l);
+       [&](const std::string& v) {
+         cfg.secretion_rate = ToDouble(v);
        }},
   };
   schema["backend"] = {
-      {"type", [&](const std::string& v, size_t) { cfg.backend_type = v; }},
+      {"type", [&](const std::string& v) { cfg.backend_type = v; }},
       {"gpu_version",
-       [&](const std::string& v, size_t l) {
-         cfg.gpu_version = static_cast<int>(ToU64(v, l));
+       [&](const std::string& v) {
+         cfg.gpu_version = static_cast<int>(ToU64(v));
        }},
-      {"gpu_device", [&](const std::string& v, size_t) { cfg.gpu_device = v; }},
+      {"gpu_device", [&](const std::string& v) { cfg.gpu_device = v; }},
       {"meter_stride",
-       [&](const std::string& v, size_t l) {
-         cfg.meter_stride = static_cast<int>(ToU64(v, l));
+       [&](const std::string& v) {
+         cfg.meter_stride = static_cast<int>(ToU64(v));
        }},
       {"parallel_blocks",
-       [&](const std::string& v, size_t l) {
-         cfg.parallel_blocks = ToBool(v, l);
+       [&](const std::string& v) {
+         cfg.parallel_blocks = ToBool(v);
        }},
       {"sanitize",
-       [&](const std::string& v, size_t l) { cfg.sanitize = ToBool(v, l); }},
+       [&](const std::string& v) { cfg.sanitize = ToBool(v); }},
       {"racy_grid_build",
-       [&](const std::string& v, size_t l) {
-         cfg.racy_grid_build = ToBool(v, l);
+       [&](const std::string& v) {
+         cfg.racy_grid_build = ToBool(v);
        }},
   };
   schema["output"] = {
       {"timeseries",
-       [&](const std::string& v, size_t) { cfg.timeseries_path = v; }},
-      {"vtk", [&](const std::string& v, size_t) { cfg.vtk_path = v; }},
-      {"csv", [&](const std::string& v, size_t) { cfg.csv_path = v; }},
+       [&](const std::string& v) { cfg.timeseries_path = v; }},
+      {"vtk", [&](const std::string& v) { cfg.vtk_path = v; }},
+      {"csv", [&](const std::string& v) { cfg.csv_path = v; }},
       {"checkpoint",
-       [&](const std::string& v, size_t) { cfg.checkpoint_path = v; }},
-      {"trace", [&](const std::string& v, size_t) { cfg.trace_path = v; }},
-      {"metrics", [&](const std::string& v, size_t) { cfg.metrics_path = v; }},
+       [&](const std::string& v) { cfg.checkpoint_path = v; }},
+      {"trace", [&](const std::string& v) { cfg.trace_path = v; }},
+      {"metrics", [&](const std::string& v) { cfg.metrics_path = v; }},
       {"metrics_every",
-       [&](const std::string& v, size_t l) { cfg.metrics_every = ToU64(v, l); }},
-      {"report", [&](const std::string& v, size_t) { cfg.report_path = v; }},
+       [&](const std::string& v) { cfg.metrics_every = ToU64(v); }},
+      {"report", [&](const std::string& v) { cfg.report_path = v; }},
       {"perf_counters",
-       [&](const std::string& v, size_t l) {
-         cfg.perf_counters = ToBool(v, l);
+       [&](const std::string& v) {
+         cfg.perf_counters = ToBool(v);
        }},
       {"flight_recorder",
-       [&](const std::string& v, size_t) { cfg.flight_recorder_path = v; }},
+       [&](const std::string& v) { cfg.flight_recorder_path = v; }},
       {"flight_recorder_depth",
-       [&](const std::string& v, size_t l) {
-         cfg.flight_recorder_depth = ToU64(v, l);
+       [&](const std::string& v) {
+         cfg.flight_recorder_depth = ToU64(v);
        }},
       {"progress",
-       [&](const std::string& v, size_t l) {
-         cfg.progress_seconds = ToDouble(v, l);
+       [&](const std::string& v) {
+         cfg.progress_seconds = ToDouble(v);
        }},
   };
 
@@ -336,7 +329,11 @@ RunConfig ParseConfigString(const std::string& text) {
     if (it == keys.end()) {
       Fail(line_no, "unknown key '" + key + "' in [" + section + "]");
     }
-    it->second(value, line_no);
+    try {
+      it->second(value);
+    } catch (const std::invalid_argument& e) {
+      Fail(line_no, e.what());
+    }
   }
 
   cfg.Validate();

@@ -7,11 +7,9 @@
 //   timestep = 0.01
 //   boundary = clamp              ; clamp | torus | open
 //   threads = 0                   ; CPU workers; 0 = hardware concurrency
-//   cpu_fast_path = true          ; fused CSR force kernel (docs/perf.md)
 //   simd = false                  ; vectorize the fused kernel (docs/perf.md)
 //   precision = fp64              ; fp64 | fp32 force-kernel pair math
 //   zorder_every = 0              ; re-sort agents into Z-order every N steps
-//   overlap_ops = false           ; overlap mechanics and diffusion (CPU only)
 //   shards = 0                    ; spatial domain shards (docs/sharding.md); 0=off
 //   shard_balance = static        ; static | adaptive plane-range sizing
 //
@@ -73,15 +71,11 @@ struct RunConfig {
   /// concurrency. Overridable via --threads and the BIOSIM_THREADS env var
   /// (the CI determinism sweep varies this; results must not depend on it).
   uint32_t num_threads = 0;
-  /// Fused CSR force kernel on the uniform-grid CPU path (docs/perf.md);
-  /// bitwise-identical to the generic callback path, so disabling it only
-  /// trades speed. Ignored by the GPU backend.
-  bool cpu_fast_path = true;
   /// Vectorize the fused force kernel (docs/perf.md). Opt-in: the vector
   /// kernel FMA-contracts the distance computation, so results are only
   /// tolerance-equal to the scalar reference (cpu_simd parity row), though
   /// still bitwise reproducible run-to-run, across thread counts and
-  /// across vector widths. Requires cpu_fast_path; CPU backend only.
+  /// across vector widths. CPU backend only.
   bool simd = false;
   /// Pair-math precision of the CPU force kernel: "fp64" (default) or
   /// "fp32" (the paper's Improvement I on the host; implies the vectorized
@@ -91,14 +85,9 @@ struct RunConfig {
   /// Re-sort agents into Z-order every N steps on the CPU pipeline
   /// (0 = never). Cache-locality knob; permutes rows uid-stably.
   uint64_t zorder_every = 0;
-  /// Overlap mechanics and diffusion as a two-node task graph
-  /// (Param::overlap_ops). CPU backend only; bitwise-neutral; no-op
-  /// without a substance grid.
-  bool overlap_ops = false;
   /// Spatial domain shards along the grid's z-planes (Param::num_shards,
   /// docs/sharding.md). 0 disables. StateHash is bitwise-identical for any
-  /// shard count (the CI shard sweep enforces it). CPU backend only;
-  /// requires cpu_fast_path; mutually exclusive with overlap_ops.
+  /// shard count (the CI shard sweep enforces it). CPU backend only.
   uint32_t shards = 0;
   /// Plane-range sizing when shards > 0: "static" (equal plane counts) or
   /// "adaptive" (greedy split over the per-plane agent histogram).
@@ -113,8 +102,7 @@ struct RunConfig {
   double divide_threshold = 16.0;
   double growth_rate = 40000.0;
   /// Attach one "oxygen" DiffusionGrid with this resolution per axis
-  /// (0 disables — the historical default: no substances). Needed to give
-  /// overlap_ops a diffusion op to overlap from the CLI.
+  /// (0 disables — the historical default: no substances).
   size_t substance_resolution = 0;
   /// Diffusion coefficient D (µm²/h) of the attached substance.
   double substance_diffusion = 50.0;
@@ -177,9 +165,19 @@ struct RunConfig {
 };
 
 /// Parse from file / from text. Throw std::runtime_error with a line-number
-/// message on syntax errors or unknown keys.
+/// message on syntax errors, unknown keys or malformed values.
 RunConfig ParseConfigFile(const std::string& path);
 RunConfig ParseConfigString(const std::string& text);
+
+/// The checked value readers behind every config key, shared with
+/// biosim_run's flags so a flag accepts exactly what its key accepts. Each
+/// throws std::invalid_argument naming the rejected text. ToBool takes
+/// true/false, 1/0, yes/no, on/off; ToU64 a non-negative integer; ToU32 one
+/// that also fits in 32 bits.
+double ToDouble(const std::string& v);
+uint64_t ToU64(const std::string& v);
+uint32_t ToU32(const std::string& v);
+bool ToBool(const std::string& v);
 
 }  // namespace biosim::app
 

@@ -46,22 +46,18 @@ constexpr double kCpuFp32Tol = 2e-2;
 
 struct BackendSpec {
   const char* name;
-  enum class Kind { kCpuGrid, kCpuKdTree, kGpu } kind;
+  enum class Kind { kCpuReference, kCpuGrid, kCpuKdTree, kGpu } kind;
   ExecMode mode = ExecMode::kSerial;
   int gpu_version = 0;
   bool bitwise = false;
   double tolerance = 0.0;
-  /// Route the CPU grid backend through the fused CSR force kernel
-  /// (docs/perf.md). The reference rows pin this off so the cpu_fast rows
-  /// prove fused == legacy rather than fused == fused.
-  bool fast_path = false;
   /// Vectorize the fused kernel (Param::cpu_simd); tolerance contract.
   bool simd = false;
   /// FP32 pair math (Param::precision = kFp32); tolerance contract.
   bool fp32 = false;
   /// Spatial shard count (Param::num_shards); 0 = unsharded. The sharded
   /// pipeline owes bitwise identity (docs/sharding.md), so its row carries
-  /// tolerance 0 like the fast-path rows.
+  /// tolerance 0 like the fused rows.
   uint32_t shards = 0;
 };
 
@@ -71,13 +67,17 @@ std::unique_ptr<Simulation> MakeSim(const ParityScenario& sc,
   param.random_seed = sc.seed;
   param.min_bound = 0.0;
   param.max_bound = sc.space;
-  param.cpu_fast_path = b.fast_path;
   param.cpu_simd = b.simd;
   param.precision = b.fp32 ? Precision::kFp32 : Precision::kFp64;
   param.num_shards = b.shards;
   auto sim = std::make_unique<Simulation>(param);
   sim->CreateRandomCells(sc.agents, sc.diameter);
   switch (b.kind) {
+    case BackendSpec::Kind::kCpuReference:
+      // The generic callback pass over the uniform grid, so the fused rows
+      // prove fused == callback rather than fused == fused.
+      sim->SetMechanicsBackend(std::make_unique<ReferenceMechanicsBackend>());
+      break;
     case BackendSpec::Kind::kCpuGrid:
       break;  // the Simulation default
     case BackendSpec::Kind::kCpuKdTree:
@@ -138,16 +138,16 @@ ParityReport RunParity(const ParityScenario& scenario) {
   using Kind = BackendSpec::Kind;
   const BackendSpec specs[] = {
       // First entry is the reference everything else is compared against.
-      {"ug_serial", Kind::kCpuGrid, ExecMode::kSerial, 0, true, 0.0},
-      {"ug_parallel", Kind::kCpuGrid, ExecMode::kParallel, 0, true, 0.0},
-      {"cpu_fast", Kind::kCpuGrid, ExecMode::kSerial, 0, true, 0.0, true},
-      {"cpu_fast_mt", Kind::kCpuGrid, ExecMode::kParallel, 0, true, 0.0, true},
-      {"cpu_sharded", Kind::kCpuGrid, ExecMode::kParallel, 0, true, 0.0, true,
-       false, false, 2},
+      {"ug_serial", Kind::kCpuReference, ExecMode::kSerial, 0, true, 0.0},
+      {"ug_parallel", Kind::kCpuReference, ExecMode::kParallel, 0, true, 0.0},
+      {"cpu_fast", Kind::kCpuGrid, ExecMode::kSerial, 0, true, 0.0},
+      {"cpu_fast_mt", Kind::kCpuGrid, ExecMode::kParallel, 0, true, 0.0},
+      {"cpu_sharded", Kind::kCpuGrid, ExecMode::kParallel, 0, true, 0.0, false,
+       false, 2},
       {"cpu_simd", Kind::kCpuGrid, ExecMode::kSerial, 0, false, kCpuSimdTol,
-       true, true},
+       true},
       {"cpu_fp32", Kind::kCpuGrid, ExecMode::kSerial, 0, false, kCpuFp32Tol,
-       true, true, true},
+       true, true},
       {"kdtree", Kind::kCpuKdTree, ExecMode::kSerial, 0, false, kKdTreeTol},
       {"gpu_v0", Kind::kGpu, ExecMode::kSerial, 0, false, kGpuFp64Tol},
       {"gpu_v1", Kind::kGpu, ExecMode::kSerial, 1, false, kGpuFp32Tol},

@@ -7,7 +7,8 @@
 // docs/sharding.md), the vectorized fused kernel (cpu_simd, and its FP32
 // precision mode cpu_fp32), and the GPU version ladder v0..v3 — and
 // compares each trajectory against the uniform-grid serial reference (which
-// pins the fast path *off*, so the cpu_fast rows prove fused == legacy):
+// runs the generic callback pass through ReferenceMechanicsBackend, so the
+// cpu_fast rows prove fused == callback):
 //
 //   * backends that owe *bitwise* equality (uniform grid parallel, the
 //     fused fast path — same FP operations in the same order at any worker

@@ -44,11 +44,9 @@ obs::json::Value ConfigJson(const RunConfig& cfg) {
   v.Set("max_displacement", cfg.max_displacement);
   v.Set("boundary", cfg.boundary);
   v.Set("threads", cfg.num_threads);
-  v.Set("cpu_fast_path", cfg.cpu_fast_path);
   v.Set("simd", cfg.simd);
   v.Set("precision", cfg.precision);
   v.Set("zorder_every", cfg.zorder_every);
-  v.Set("overlap_ops", cfg.overlap_ops);
   if (cfg.shards > 0) {
     v.Set("shards", cfg.shards);
     v.Set("shard_balance", cfg.shard_balance);
@@ -150,12 +148,10 @@ std::unique_ptr<Simulation> BuildSimulation(const RunConfig& cfg) {
   Param param;
   param.random_seed = cfg.seed;
   param.num_threads = cfg.num_threads;
-  param.cpu_fast_path = cfg.cpu_fast_path;
   param.cpu_simd = cfg.simd;
   param.precision =
       cfg.precision == "fp32" ? Precision::kFp32 : Precision::kFp64;
   param.zorder_cadence = static_cast<uint32_t>(cfg.zorder_every);
-  param.overlap_ops = cfg.overlap_ops;
   param.num_shards = cfg.shards;
   param.shard_balance = cfg.shard_balance == "adaptive"
                             ? ShardBalance::kAdaptive
@@ -187,7 +183,7 @@ std::unique_ptr<Simulation> BuildSimulation(const RunConfig& cfg) {
 
   if (cfg.substance_resolution > 0) {
     // One extracellular substance spanning the (possibly density-derived)
-    // simulation cube; gives overlap_ops a diffusion op to run against.
+    // simulation cube.
     sim->AddDiffusionGrid(std::make_unique<DiffusionGrid>(
         "oxygen", sim->param().min_bound, sim->param().max_bound,
         cfg.substance_resolution, cfg.substance_diffusion,

@@ -92,14 +92,6 @@ struct Param {
   /// Worker threads for CPU-parallel operations; 0 = hardware concurrency.
   uint32_t num_threads = 0;
 
-  /// Use the fused CSR force kernel when the environment is a uniform grid
-  /// (docs/perf.md): slot-by-slot traversal of the grid's compacted CSR
-  /// (spatial/compact_grid.h) instead of the virtual per-query callback
-  /// path. Bitwise-identical displacements by construction (the parity
-  /// harness's cpu_fast backend enforces this); kd-tree and null
-  /// environments always take the generic path.
-  bool cpu_fast_path = true;
-
   /// Vectorize the fused force kernel's per-agent candidate sweep
   /// (physics/simd_force_kernel.h): width-padded SoA gather + vector
   /// distance pass, dispatched to the widest ISA the CPU supports
@@ -107,8 +99,7 @@ struct Param {
   /// FMA-contracts the squared distance, changing the last bits vs the
   /// scalar reference — the cpu_simd parity row bounds the divergence at
   /// 1e-9. Results are bitwise independent of the dispatched width and of
-  /// the thread count. Requires cpu_fast_path and the uniform-grid
-  /// environment.
+  /// the thread count. Requires the uniform-grid environment.
   bool cpu_simd = false;
 
   /// Pair-math precision of the CPU force kernel. kFp32 implies the
@@ -116,23 +107,16 @@ struct Param {
   /// cpu_fp32 parity bound of 2e-2, mirroring the FP32 GPU rows.
   Precision precision = Precision::kFp64;
 
-  /// No-op, kept so code that sets it still compiles. It selected a patch
-  /// path of the uniform grid that re-binned only box-crossing agents; the
-  /// compacted grid (spatial/compact_grid.h) rebuilds in O(agents +
-  /// occupied boxes) every step, so no patch path exists and every Update
-  /// is a full build whatever this says.
+  /// No-op; perfbench (perfbench/src/) is its only reader. It selected a
+  /// patch path of the uniform grid that re-binned only box-crossing
+  /// agents; the compacted grid (spatial/compact_grid.h) rebuilds in
+  /// O(agents + occupied boxes) every step, so every Update is a full build
+  /// whatever this says.
   bool incremental_grid = true;
 
-  /// Run mechanical forces and substance diffusion as a two-node task graph
-  /// (core/thread_pool.h TaskGraph) instead of back-to-back: once the
-  /// behaviors pass's deposit merge has retired, mechanics touches only
-  /// positions/grid while diffusion touches only concentration fields, so
-  /// the two may overlap. Bitwise-neutral (each op runs unchanged, exactly
-  /// once; docs/determinism.md) and gated by the thread-sweep determinism
-  /// test. CPU pipeline only — the runner's config validation enforces
-  /// backend cpu — and a no-op without diffusion grids. Off by default:
-  /// per-op hardware-counter attribution collapses into one combined
-  /// "mechanics+diffusion" scope while overlapped.
+  /// No-op; perfbench (perfbench/src/) is its only reader. Simulate has
+  /// one step pipeline whatever this says (docs/perf.md "One step
+  /// pipeline").
   bool overlap_ops = false;
 
   /// Re-sort agents into Z-order (spatial/zorder_sort.h) every N steps of
@@ -147,15 +131,16 @@ struct Param {
   /// Partition the domain into this many spatial shards along the grid's
   /// z-plane lattice (docs/sharding.md): each shard owns the agents binned
   /// into its plane range, builds a private occupancy-compacted CSR, and
-  /// runs behaviors + forces over its owned rows, with ghost agents within
+  /// runs the force pass over its owned rows, with ghost agents within
   /// one interaction radius of the shard faces exchanged through the
   /// in-process Communicator before every force pass. 0 disables sharding
   /// (the classic single-grid pipeline); 1 runs the sharded pipeline with a
   /// degenerate single shard (useful to isolate the machinery). StateHash
   /// is bitwise-identical for every shard count — verified by the parity
   /// harness's cpu_sharded row and the CI shard×thread determinism sweep.
-  /// Requires cpu_fast_path and the uniform-grid environment; rejected when
-  /// the shard count exceeds the lattice's z-plane count.
+  /// Requires the CPU backend and the uniform-grid environment (Simulate
+  /// throws otherwise); rejected when the shard count exceeds the lattice's
+  /// z-plane count.
   uint32_t num_shards = 0;
 
   /// Plane-range sizing policy when num_shards > 0.
@@ -191,23 +176,6 @@ struct Param {
     }
     if (boundary_mode == BoundaryMode::kTorus && !bound_space) {
       fail("torus boundaries require bound_space");
-    }
-    if ((cpu_simd || precision == Precision::kFp32) && !cpu_fast_path) {
-      fail("cpu_simd / fp32 precision vectorize the fused kernel and "
-           "require cpu_fast_path");
-    }
-    if (num_shards > 0 && !cpu_fast_path) {
-      fail("spatial sharding drives the fused CSR kernel per shard and "
-           "requires cpu_fast_path");
-    }
-    if (num_shards > 0 && overlap_ops) {
-      // The sharded step already interleaves its phases around the halo
-      // barriers; composing it with the overlap task graph would run
-      // diffusion concurrently with per-shard force passes whose merge
-      // discipline assumes exclusive SoA access. Reject loudly rather than
-      // silently ignoring one of the knobs (ISSUE 10 satellite).
-      fail("overlap_ops and num_shards cannot be combined: the sharded "
-           "pipeline schedules mechanics/diffusion itself; disable one");
     }
   }
 };

@@ -80,6 +80,7 @@ void ShardRuntime::ExchangeHalos(const ResourceManager& rm, ExecMode mode) {
 
   // Post phase: every shard ships its two face planes. The ParallelFor join
   // below is the protocol barrier between post and drain.
+  BIOSIM_SHARD_SCOPE_BEGIN();
   ParallelFor(mode, shards_, [&](size_t sk) {
     const auto k = static_cast<uint32_t>(sk);
     if (shards_ == 1) {
@@ -145,6 +146,7 @@ void ShardRuntime::ExchangeHalos(const ResourceManager& rm, ExecMode mode) {
                ghosts.end(), std::back_inserter(members));
     members.erase(std::unique(members.begin(), members.end()), members.end());
   });
+  BIOSIM_SHARD_SCOPE_END();
 }
 
 void ShardRuntime::UpdateGrids(const ResourceManager& rm, ExecMode mode) {

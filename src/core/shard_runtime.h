@@ -54,9 +54,8 @@ class ShardRuntime {
 
   uint32_t shards() const { return shards_; }
 
-  /// Phase A (also rerun as phase B after commit/z-order): derive the
-  /// lattice for the current population and assign every row to its owning
-  /// shard. Throws std::invalid_argument (via ShardPartition::Split) when
+  /// Once per step, after commit and z-order: derive the lattice for the
+  /// current population and assign every row to its owning shard. Throws std::invalid_argument (via ShardPartition::Split) when
   /// the shard count exceeds the lattice's z-plane count. O(n + planes).
   void Repartition(const ResourceManager& rm, const Param& param);
 

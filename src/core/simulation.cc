@@ -1,6 +1,7 @@
 #include "core/simulation.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "core/analysis.h"
@@ -178,134 +179,39 @@ void Simulation::RunBehaviors() {
   }
 }
 
-namespace {
-
-// TraceScope keeps the name pointer, so per-shard track names must be
-// literals with static storage; shards beyond the table share the last name
-// (display-only — the simulation itself has no shard-count limit).
-const char* ShardTraceName(size_t k) {
-  static constexpr const char* kNames[] = {
-      "shard 0 behaviors",  "shard 1 behaviors",  "shard 2 behaviors",
-      "shard 3 behaviors",  "shard 4 behaviors",  "shard 5 behaviors",
-      "shard 6 behaviors",  "shard 7 behaviors",  "shard 8 behaviors",
-      "shard 9 behaviors",  "shard 10 behaviors", "shard 11 behaviors",
-      "shard 12 behaviors", "shard 13 behaviors", "shard 14 behaviors",
-      "shard 15+ behaviors"};
-  constexpr size_t kLast = sizeof(kNames) / sizeof(kNames[0]) - 1;
-  return kNames[k < kLast ? k : kLast];
-}
-
-}  // namespace
-
-void Simulation::RunBehaviorsSharded() {
-  const uint32_t num_shards = shard_runtime_->shards();
-
-  // A deposit tagged with the row that emitted it. Owned rows are disjoint
-  // across shards and each shard walks its rows ascending, so a global
-  // stable sort on the row reconstructs the exact apply sequence of the
-  // unsharded pass: ascending agent row, behavior order within a row
-  // (docs/determinism.md, docs/sharding.md).
-  struct TaggedDeposit {
-    int32_t row;
-    PendingDeposit deposit;
-  };
-  Mutex deposit_mutex;
-  std::vector<TaggedDeposit> tagged;
-
-  BIOSIM_SHARD_SCOPE_BEGIN();
-  ParallelFor(mode_, num_shards, [&](size_t k) {
-    TRACE_SCOPE(ShardTraceName(k));
-    SimContext ctx(param_, rm_, step_);
-    ctx.diffusion_grid = diffusion_grid();
-    ctx.diffusion_grids = &diffusion_grids_;
-    std::vector<PendingDeposit> sink;
-    ctx.deposit_sink = &sink;
-    std::vector<TaggedDeposit> local;
-    for (int32_t row : shard_runtime_->owned_rows(static_cast<uint32_t>(k))) {
-      const auto i = static_cast<size_t>(row);
-      if (rm_.behaviors_of(i).empty()) {
-        continue;
-      }
-      const size_t mark = sink.size();
-      Cell cell(rm_, i);
-      for (const auto& b : rm_.behaviors_of(i)) {
-        b->Run(cell, ctx);
-      }
-      for (size_t d = mark; d < sink.size(); ++d) {
-        local.push_back({row, sink[d]});
-      }
-    }
-    if (!local.empty()) {
-      MutexLock lock(deposit_mutex);
-      tagged.insert(tagged.end(), local.begin(), local.end());
-    }
-  });
-  BIOSIM_SHARD_SCOPE_END();
-
-  if (!tagged.empty()) {
-    std::stable_sort(tagged.begin(), tagged.end(),
-                     [](const TaggedDeposit& a, const TaggedDeposit& b) {
-                       return a.row < b.row;
-                     });
-    for (const TaggedDeposit& t : tagged) {
-      // Row-ordered serial merge — the sharded twin of RunBehaviors' chunk
-      // merge, same sanctioned raw-write site (docs/determinism.md).
-      t.deposit.grid->IncreaseConcentrationBy(t.deposit.position, t.deposit.amount);  // biosim-lint: allow(direct-deposit)
-    }
+void Simulation::RunShardedForces() {
+  {
+    // Ownership, halo protocol and shard windows all derive from the
+    // post-commit, post-z-order positions the force pass reads.
+    TRACE_SCOPE("partition");
+    PERF_SCOPE("partition");
+    ScopedTimer t(profile_.Hist("partition"));
+    shard_runtime_->Repartition(rm_, param_);
   }
-}
-
-void Simulation::RunShardedOps() {
-  if (!rm_.empty()) {
-    {
-      // Partition B: commit / z-order may have moved, added or permuted
-      // rows; ownership and the halo protocol need the post-commit
-      // positions.
-      TRACE_SCOPE("partition");
-      PERF_SCOPE("partition");
-      ScopedTimer t(profile_.Hist("partition"));
-      shard_runtime_->Repartition(rm_, param_);
-    }
-    {
-      TRACE_SCOPE("halo exchange");
-      PERF_SCOPE("halo exchange");
-      ScopedTimer t(profile_.Hist("halo exchange"));
-      shard_runtime_->ExchangeHalos(rm_, mode_);
-    }
-    {
-      // The sharded counterpart of "neighborhood update": per-shard
-      // occupancy-compacted CSRs instead of the one global grid.
-      TRACE_SCOPE("shard grids");
-      PERF_SCOPE("shard grids");
-      ScopedTimer t(profile_.Hist("shard grids"));
-      shard_runtime_->UpdateGrids(rm_, mode_);
-    }
-    {
-      TRACE_SCOPE("mechanical forces");
-      PERF_SCOPE("mechanical forces");
-      ScopedTimer t(profile_.Hist("mechanical forces"));
-      auto* cpu = dynamic_cast<CpuMechanicsBackend*>(backend_.get());
-      if (cpu == nullptr) {
-        throw std::invalid_argument(
-            "Simulation: num_shards > 0 requires the CPU mechanics backend "
-            "(the sharded force pass drives the fused CSR kernel directly)");
-      }
-      MechanicalForcesOp& op = cpu->mutable_op();
-      op.ComputeDisplacementsSharded(
-          rm_, shard_runtime_->ForceInputs(),
-          shard_runtime_->geometry().interaction_radius,
-          shard_runtime_->geometry().box_length, param_, mode_);
-      op.ApplyDisplacements(rm_, param_, mode_);
-    }
+  {
+    TRACE_SCOPE("halo exchange");
+    PERF_SCOPE("halo exchange");
+    ScopedTimer t(profile_.Hist("halo exchange"));
+    shard_runtime_->ExchangeHalos(rm_, mode_);
   }
-  if (!diffusion_grids_.empty()) {
-    TRACE_SCOPE("diffusion");
-    PERF_SCOPE("diffusion");
-    ScopedTimer t(profile_.Hist("diffusion"));
-    for (auto& g : diffusion_grids_) {
-      g->Step(param_.simulation_time_step, mode_);
-    }
+  {
+    // The sharded counterpart of "neighborhood update": per-shard
+    // occupancy-compacted CSRs instead of the one global grid.
+    TRACE_SCOPE("shard grids");
+    PERF_SCOPE("shard grids");
+    ScopedTimer t(profile_.Hist("shard grids"));
+    shard_runtime_->UpdateGrids(rm_, mode_);
   }
+  TRACE_SCOPE("mechanical forces");
+  PERF_SCOPE("mechanical forces");
+  ScopedTimer t(profile_.Hist("mechanical forces"));
+  MechanicalForcesOp& op =
+      static_cast<CpuMechanicsBackend&>(*backend_).mutable_op();
+  op.ComputeDisplacementsSharded(
+      rm_, shard_runtime_->ForceInputs(),
+      shard_runtime_->geometry().interaction_radius,
+      shard_runtime_->geometry().box_length, param_, mode_);
+  op.ApplyDisplacements(rm_, param_, mode_);
 }
 
 uint64_t Simulation::StateHash() const {
@@ -318,60 +224,26 @@ uint64_t Simulation::StateHash() const {
 }
 
 void Simulation::Simulate(uint64_t steps) {
-  if (param_.num_shards > 0) {
+  if (param_.num_shards == 0) {
+    shard_runtime_.reset();
+  } else {
+    // The sharded force pass drives the fused CSR kernel over per-shard
+    // grids: it neither reads the installed environment nor calls the
+    // backend, so anything but the defaults would be silently ignored.
+    if (dynamic_cast<CpuMechanicsBackend*>(backend_.get()) == nullptr) {
+      throw std::invalid_argument(
+          "Simulation: num_shards > 0 requires the CPU mechanics backend "
+          "(the sharded force pass drives the fused CSR kernel directly)");
+    }
+    if (dynamic_cast<UniformGridEnvironment*>(env_.get()) == nullptr) {
+      throw std::invalid_argument(
+          "Simulation: num_shards > 0 requires the uniform-grid environment "
+          "(each shard builds its own window of the grid's compacted CSR)");
+    }
     if (!shard_runtime_ || shard_runtime_->shards() != param_.num_shards) {
       shard_runtime_ = std::make_unique<ShardRuntime>(param_.num_shards,
                                                       param_.shard_balance);
     }
-    for (uint64_t s = 0; s < steps; ++s) {
-      TRACE_SCOPE("step");
-      const bool have_agents = !rm_.empty();
-      if (have_agents) {
-        // Partition A: ownership for the behaviors pass, derived from the
-        // positions the behaviors will read.
-        TRACE_SCOPE("partition");
-        PERF_SCOPE("partition");
-        ScopedTimer t(profile_.Hist("partition"));
-        shard_runtime_->Repartition(rm_, param_);
-      }
-      {
-        TRACE_SCOPE("cell behaviors");
-        PERF_SCOPE("cell behaviors");
-        ScopedTimer t(profile_.Hist("cell behaviors"));
-        if (have_agents) {
-          RunBehaviorsSharded();
-        }
-      }
-      {
-        TRACE_SCOPE("commit");
-        PERF_SCOPE("commit");
-        ScopedTimer t(profile_.Hist("commit"));
-        rm_.CommitStructuralChanges();
-      }
-      if (param_.zorder_cadence > 0 && !rm_.empty() &&
-          step_ % param_.zorder_cadence == 0) {
-        TRACE_SCOPE("z-order sort");
-        PERF_SCOPE("z-order sort");
-        ScopedTimer t(profile_.Hist("z-order sort"));
-        double cell = rm_.LargestDiameter() + param_.interaction_radius_margin;
-        SortAgentsByZOrder(rm_, cell, mode_);
-      }
-      RunShardedOps();
-      ++step_;
-    }
-    return;
-  }
-  const bool overlap = param_.overlap_ops && !diffusion_grids_.empty();
-  if (overlap) {
-    // Pre-create every op histogram the overlapped nodes will touch:
-    // OpProfile::Hist mutates its name->index map on first use, and the
-    // diffusion node runs on a spawned thread. Creating the entries here —
-    // before any fork — makes the later lookups read-only. (The deque
-    // storage keeps Histogram addresses stable.)
-    profile_.Hist("z-order sort");
-    profile_.Hist("neighborhood update");
-    profile_.Hist("mechanical forces");
-    profile_.Hist("diffusion");
   }
   for (uint64_t s = 0; s < steps; ++s) {
     TRACE_SCOPE("step");
@@ -387,11 +259,6 @@ void Simulation::Simulate(uint64_t steps) {
       ScopedTimer t(profile_.Hist("commit"));
       rm_.CommitStructuralChanges();
     }
-    if (overlap) {
-      RunOverlappedOps();
-      ++step_;
-      continue;
-    }
     if (param_.zorder_cadence > 0 && !rm_.empty() &&
         step_ % param_.zorder_cadence == 0) {
       // Host-side Improvement II: periodically re-permute the SoA rows into
@@ -406,13 +273,17 @@ void Simulation::Simulate(uint64_t steps) {
       double cell = rm_.LargestDiameter() + param_.interaction_radius_margin;
       SortAgentsByZOrder(rm_, cell, mode_);
     }
-    {
-      TRACE_SCOPE("neighborhood update");
-      PERF_SCOPE("neighborhood update");
-      ScopedTimer t(profile_.Hist("neighborhood update"));
-      env_->Update(rm_, param_, mode_);
-    }
-    {
+    if (shard_runtime_) {
+      if (!rm_.empty()) {
+        RunShardedForces();
+      }
+    } else {
+      {
+        TRACE_SCOPE("neighborhood update");
+        PERF_SCOPE("neighborhood update");
+        ScopedTimer t(profile_.Hist("neighborhood update"));
+        env_->Update(rm_, param_, mode_);
+      }
       TRACE_SCOPE("mechanical forces");
       PERF_SCOPE("mechanical forces");
       ScopedTimer t(profile_.Hist("mechanical forces"));
@@ -428,58 +299,6 @@ void Simulation::Simulate(uint64_t steps) {
     }
     ++step_;
   }
-}
-
-void Simulation::RunOverlappedOps() {
-  // One combined perf scope on the calling thread: PerfSession counters are
-  // per-opening-thread and not safe to nest from spawned threads, so while
-  // overlapped the per-op hardware attribution collapses into this scope
-  // (param.h documents the trade). Trace scopes ARE per-thread-safe and stay
-  // inside the node bodies — the timeline shows the two ops as overlapping
-  // tracks. Mechanics touches positions + the spatial index; diffusion
-  // touches only the concentration fields (the behaviors pass's deposit
-  // merge retired before this fork) — disjoint state, so overlap is
-  // bitwise-neutral (docs/determinism.md).
-  PERF_SCOPE("mechanics+diffusion");
-  // On a single hardware thread overlap cannot win — the two node bodies
-  // would time-slice one core while paying a thread spawn per step — so run
-  // the graph serially there. Bitwise-identical either way (TaskGraph
-  // contract), purely a cost decision.
-  const ExecMode graph_mode =
-      HardwareThreads() > 1 ? mode_ : ExecMode::kSerial;
-  TaskGraph graph;
-  graph.AddNode("mechanics", [this] {
-    // A fresh native thread starts from the global OpenMP ICVs, not the
-    // main thread's — re-apply the configured width before any parallel
-    // region.
-    SetNumThreads(param_.num_threads);
-    if (param_.zorder_cadence > 0 && !rm_.empty() &&
-        step_ % param_.zorder_cadence == 0) {
-      TRACE_SCOPE("z-order sort");
-      ScopedTimer t(profile_.Hist("z-order sort"));
-      double cell = rm_.LargestDiameter() + param_.interaction_radius_margin;
-      SortAgentsByZOrder(rm_, cell, mode_);
-    }
-    {
-      TRACE_SCOPE("neighborhood update");
-      ScopedTimer t(profile_.Hist("neighborhood update"));
-      env_->Update(rm_, param_, mode_);
-    }
-    {
-      TRACE_SCOPE("mechanical forces");
-      ScopedTimer t(profile_.Hist("mechanical forces"));
-      backend_->Step(rm_, *env_, param_, mode_, &profile_);
-    }
-  });
-  graph.AddNode("diffusion", [this] {
-    SetNumThreads(param_.num_threads);
-    TRACE_SCOPE("diffusion");
-    ScopedTimer t(profile_.Hist("diffusion"));
-    for (auto& g : diffusion_grids_) {
-      g->Step(param_.simulation_time_step, mode_);
-    }
-  });
-  graph.Run(graph_mode);
 }
 
 }  // namespace biosim

@@ -1,13 +1,20 @@
 // Simulation: the public façade that ties the engine together.
 //
 // Owns the parameters, the SoA agent storage, the spatial environment, the
-// mechanics backend, and optional diffusion grids, and runs the per-step
-// pipeline:
+// mechanics backend, and optional diffusion grids, and runs one fixed
+// pipeline per step:
 //
-//   1. "cell behaviors"       -- run every agent's behaviors (proliferation)
+//   1. "cell behaviors"       -- run every agent's behaviors in row chunks;
+//                                substance deposits merge in row order
 //   2. "commit"               -- apply deferred divisions / removals
-//   3. "neighborhood update"  -- rebuild the environment (kd-tree / grid)
-//   4. "mechanical forces"    -- backend step (CPU or GPU offload)
+//   3. "z-order sort"         -- every param.zorder_cadence steps (0 = off)
+//   4. spatial + forces, one of:
+//        unsharded: "neighborhood update" (environment rebuild: kd-tree /
+//                   grid) then "mechanical forces" (backend step: CPU or
+//                   GPU offload);
+//        sharded (param.num_shards > 0): "partition", "halo exchange",
+//                   "shard grids" (docs/sharding.md) then "mechanical
+//                   forces" (the fused kernel over every shard window);
 //   5. "diffusion"            -- advance extracellular substances
 //
 // Every operation's wall time is accumulated in profile(), which is exactly
@@ -103,23 +110,15 @@ class Simulation {
   /// The shard runtime driving the sharded pipeline, or nullptr when
   /// param.num_shards == 0 or before the first sharded step (observability
   /// reads per-shard stats through this).
-  const ShardRuntime* shard_runtime() const { return shard_runtime_.get(); }
+  const ShardRuntime* shard_runtime() const {
+    return param_.num_shards > 0 ? shard_runtime_.get() : nullptr;
+  }
 
  private:
   void RunBehaviors();
-  /// Behaviors pass of the sharded pipeline: each shard runs its owned rows
-  /// (ascending); substance deposits are tagged with their row and merged
-  /// globally in row order — the exact sequence the unsharded pass applies.
-  void RunBehaviorsSharded();
-  /// One full sharded step after the behaviors+commit phases: partition,
-  /// halo exchange, per-shard grids, sharded force pass, diffusion.
-  void RunShardedOps();
-  /// The post-commit ops of one step as a two-node task graph: mechanics
-  /// (z-order sort, environment update, force step — positions and grid)
-  /// overlapped with diffusion (concentration fields). Used instead of the
-  /// serial op sequence when param_.overlap_ops is set and a diffusion grid
-  /// exists; bitwise-identical results (docs/determinism.md).
-  void RunOverlappedOps();
+  /// Spatial + forces phase of a sharded step: repartition, halo exchange,
+  /// per-shard grids, then the fused force pass over every shard window.
+  void RunShardedForces();
 
   Param param_;
   ResourceManager rm_;

@@ -19,12 +19,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <exception>
-#include <functional>
-#include <stdexcept>
-#include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "core/analysis.h"
@@ -153,118 +147,6 @@ T ParallelReduce(ExecMode mode, size_t n, T init, F&& fn, C&& combine) {
   }
   return result;
 }
-
-/// A small static task graph for overlapping independent scheduler ops
-/// (cf. exafmm's include/thread.h tasking idiom). Nodes are appended in a
-/// fixed order and may only depend on already-added nodes, so the graph is
-/// acyclic by construction and has one deterministic topological order: the
-/// insertion order.
-///
-/// Run(kSerial) executes the bodies in insertion order on the calling
-/// thread — bitwise identical to inlining them. Run(kParallel) executes in
-/// dependency waves: every node whose dependencies have completed runs on
-/// its own std::thread, and the join at the end of each wave is the only
-/// synchronization. std::thread creation/join gives clean happens-before
-/// edges (visible to TSan without annotations), and node bodies are free to
-/// open their own OpenMP regions — each native thread forms its own team.
-///
-/// Determinism contract (docs/determinism.md): the graph introduces no new
-/// floating-point combine order — each node body runs unchanged, exactly
-/// once — so overlapping is bitwise-neutral PROVIDED concurrent nodes touch
-/// disjoint state. That disjointness is the caller's contract (e.g.
-/// mechanics writes positions/grid while diffusion writes concentration
-/// fields, with the deposit merge already retired before the fork).
-class TaskGraph {
- public:
-  using TaskFn = std::function<void()>;
-
-  /// Append a node; `deps` lists node ids returned by earlier AddNode
-  /// calls. Returns the new node's id.
-  size_t AddNode(std::string name, TaskFn fn, std::vector<size_t> deps = {}) {
-    const size_t id = nodes_.size();
-    for (size_t d : deps) {
-      if (d >= id) {
-        throw std::invalid_argument("TaskGraph: node '" + name +
-                                    "' depends on a node not yet added");
-      }
-    }
-    nodes_.push_back(Node{std::move(name), std::move(fn), std::move(deps)});
-    return id;
-  }
-
-  size_t size() const { return nodes_.size(); }
-
-  /// Run every node exactly once, then clear the graph. If bodies throw,
-  /// the in-flight wave still drains (no node is abandoned mid-run), no
-  /// further wave starts, and the lowest-id exception is rethrown.
-  void Run(ExecMode mode) {
-    const size_t n = nodes_.size();
-    if (mode != ExecMode::kParallel || n <= 1) {
-      for (Node& node : nodes_) {
-        node.fn();
-      }
-      nodes_.clear();
-      return;
-    }
-    std::vector<std::exception_ptr> errors(n);
-    std::vector<char> done(n, 0);
-    size_t completed = 0;
-    bool failed = false;
-    while (completed < n && !failed) {
-      // Deps always point at earlier nodes, so the first unfinished node is
-      // always ready — the wave is never empty and the loop cannot stall.
-      std::vector<size_t> wave;
-      for (size_t i = 0; i < n; ++i) {
-        if (done[i]) {
-          continue;
-        }
-        bool ready = true;
-        for (size_t d : nodes_[i].deps) {
-          ready = ready && done[d] != 0;
-        }
-        if (ready) {
-          wave.push_back(i);
-        }
-      }
-      auto run_one = [&](size_t i) {
-        try {
-          nodes_[i].fn();
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      };
-      std::vector<std::thread> workers;
-      workers.reserve(wave.size() - 1);
-      for (size_t k = 1; k < wave.size(); ++k) {
-        workers.emplace_back(run_one, wave[k]);
-      }
-      run_one(wave[0]);  // the calling thread takes the first ready node
-      for (std::thread& t : workers) {
-        t.join();
-      }
-      for (size_t i : wave) {
-        done[i] = 1;
-        ++completed;
-        failed = failed || errors[i] != nullptr;
-      }
-    }
-    nodes_.clear();
-    for (size_t i = 0; i < n; ++i) {
-      if (errors[i] != nullptr) {
-        std::rethrow_exception(errors[i]);
-      }
-    }
-  }
-
- private:
-  struct Node {
-    std::string name;
-    TaskFn fn;
-    std::vector<size_t> deps;
-  };
-
-  std::vector<Node> nodes_;
-};
 
 }  // namespace biosim
 

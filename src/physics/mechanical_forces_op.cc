@@ -158,31 +158,34 @@ void MechanicalForcesOp::ComputeDisplacements(const ResourceManager& rm,
                                               const Environment& env,
                                               const Param& param,
                                               ExecMode mode) {
-  const bool vector_mode =
-      param.cpu_simd || param.precision == Precision::kFp32;
-  if (param.cpu_fast_path || vector_mode) {
-    // One dynamic_cast per step, not per query: the fused paths only exist
-    // for the uniform grid (they consume the CSR layout); kd-tree and null
-    // environments fall through to the generic path below.
-    if (const auto* grid = dynamic_cast<const UniformGridEnvironment*>(&env)) {
-      // The whole lattice is one window whose slots are all owned.
-      const CompactGrid& csr = grid->csr();
-      ComputeDisplacementsSharded(rm,
-                                  {{csr.View(), csr.owned_slots(),
-                                    csr.traversal_order()}},
-                                  grid->interaction_radius(),
-                                  grid->box_length(), param, mode);
-      return;
-    }
-    if (vector_mode) {
-      // No silent precision/summation-order change on a path the parity
-      // rows don't cover: vector modes are uniform-grid only.
-      throw std::invalid_argument(
-          "MechanicalForcesOp: cpu_simd / fp32 precision require the "
-          "uniform-grid environment (the vector kernel consumes its CSR "
-          "layout)");
-    }
+  // One dynamic_cast per step, not per query: the fused paths consume the
+  // uniform grid's CSR layout; kd-tree and null environments take the
+  // generic path.
+  if (const auto* grid = dynamic_cast<const UniformGridEnvironment*>(&env)) {
+    // The whole lattice is one window whose slots are all owned.
+    const CompactGrid& csr = grid->csr();
+    ComputeDisplacementsSharded(rm,
+                                {{csr.View(), csr.owned_slots(),
+                                  csr.traversal_order()}},
+                                grid->interaction_radius(),
+                                grid->box_length(), param, mode);
+    return;
   }
+  if (param.cpu_simd || param.precision == Precision::kFp32) {
+    // No silent precision/summation-order change on a path the parity
+    // rows don't cover: vector modes are uniform-grid only.
+    throw std::invalid_argument(
+        "MechanicalForcesOp: cpu_simd / fp32 precision require the "
+        "uniform-grid environment (the vector kernel consumes its CSR "
+        "layout)");
+  }
+  ComputeDisplacementsGeneric(rm, env, param, mode);
+}
+
+void MechanicalForcesOp::ComputeDisplacementsGeneric(const ResourceManager& rm,
+                                                     const Environment& env,
+                                                     const Param& param,
+                                                     ExecMode mode) {
   used_fast_path_ = false;
 
   size_t n = rm.size();

@@ -7,19 +7,23 @@
 // the same two-phase structure the GPU offload uses (compute on device,
 // apply on host).
 //
-// Three compute paths (docs/perf.md):
+// Three compute paths (docs/perf.md); ComputeDisplacements picks the fused
+// or SIMD path whenever the environment is a UniformGridEnvironment and the
+// generic path otherwise:
 //
-//   * generic: per-agent virtual ForEachNeighborWithinRadius with a
-//     function_ref callback — works against any Environment;
-//   * fused (param.cpu_fast_path, uniform grid only): slot-by-slot
-//     traversal of the grid's occupancy-compacted CSR (spatial/
-//     compact_grid.h). Each occupied box resolves its 27-neighbor block
-//     once and reuses it for every resident agent, and the inner loop
-//     streams contiguous runs with no indirect calls. Bitwise-identical to
-//     the generic path: both visit each agent's neighbors in the identical
-//     canonical order (GridGeometry::ForEachNeighborCoord block order,
-//     ascending agent index within a box) and evaluate the same FP
-//     expressions on them;
+//   * generic (ComputeDisplacementsGeneric): per-agent virtual
+//     ForEachNeighborWithinRadius with a function_ref callback — works
+//     against any Environment, and is the reference the fused path is
+//     tested against (ReferenceMechanicsBackend, parity rows ug_serial /
+//     ug_parallel);
+//   * fused (uniform grid): slot-by-slot traversal of the grid's
+//     occupancy-compacted CSR (spatial/compact_grid.h). Each occupied box
+//     resolves its 27-neighbor block once and reuses it for every resident
+//     agent, and the inner loop streams contiguous runs with no indirect
+//     calls. Bitwise-identical to the generic path: both visit each
+//     agent's neighbors in the identical canonical order
+//     (GridGeometry::ForEachNeighborCoord block order, ascending agent
+//     index within a box) and evaluate the same FP expressions on them;
 //   * SIMD (param.cpu_simd and/or Precision::kFp32, uniform grid only):
 //     the fused traversal with the per-agent candidate sweep vectorized
 //     over width-padded SoA scratch (physics/simd_force_kernel.h),
@@ -70,13 +74,22 @@ class MechanicalForcesOp {
   explicit MechanicalForcesOp(ForceLaw law = ForceLaw::kCortex3D)
       : force_law_(law) {}
 
-  /// Compute per-agent displacements into an internal buffer. The
-  /// environment must be up to date. Throws std::invalid_argument when a
-  /// vector mode (param.cpu_simd / FP32 precision) is requested but the
-  /// environment is not a uniform grid — the vector kernel consumes the
-  /// grid's CSR layout and has no generic fallback.
+  /// Compute per-agent displacements into an internal buffer: the fused
+  /// (or SIMD) pass on a uniform grid, the generic pass on any other
+  /// environment. The environment must be up to date. Throws
+  /// std::invalid_argument when a vector mode (param.cpu_simd / FP32
+  /// precision) is requested but the environment is not a uniform grid —
+  /// the vector kernel consumes the grid's CSR layout and has no generic
+  /// fallback.
   void ComputeDisplacements(const ResourceManager& rm, const Environment& env,
                             const Param& param, ExecMode mode);
+
+  /// The generic callback pass on any environment, uniform grid included:
+  /// the scalar FP64 reference the fused path owes bitwise equality to.
+  /// Ignores the vector modes.
+  void ComputeDisplacementsGeneric(const ResourceManager& rm,
+                                   const Environment& env, const Param& param,
+                                   ExecMode mode);
 
   /// Apply the buffered displacements to the agent positions (and bound the
   /// space). Also zeroes the buffer.

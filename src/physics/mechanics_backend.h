@@ -54,6 +54,25 @@ class CpuMechanicsBackend : public MechanicsBackend {
   MechanicalForcesOp op_;
 };
 
+/// The generic callback pass on any environment, uniform grid included
+/// (MechanicalForcesOp::ComputeDisplacementsGeneric): the reference the
+/// fused CPU path is held bitwise-equal to by the parity harness and the
+/// determinism tests. Not a performance path.
+class ReferenceMechanicsBackend : public MechanicsBackend {
+ public:
+  void Step(ResourceManager& rm, const Environment& env, const Param& param,
+            ExecMode mode, OpProfile* profile) override {
+    (void)profile;
+    op_.ComputeDisplacementsGeneric(rm, env, param, mode);
+    op_.ApplyDisplacements(rm, param, mode);
+  }
+
+  const char* name() const override { return "cpu_reference"; }
+
+ private:
+  MechanicalForcesOp op_;
+};
+
 }  // namespace biosim
 
 #endif  // BIOSIM_PHYSICS_MECHANICS_BACKEND_H_

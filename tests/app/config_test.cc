@@ -153,36 +153,45 @@ TEST(ConfigTest, SimdAndPrecisionKeysParseAndValidate) {
   EXPECT_THROW(ParseConfigString("[simulation]\nprecision = fp16\n"),
                std::invalid_argument);
   // Both knobs vectorize the *CPU* fused kernel: the GPU ladder has its
-  // own FP32 versions, and without the fused path there is nothing to
-  // vectorize.
+  // own FP32 versions.
   EXPECT_THROW(ParseConfigString(
                    "[simulation]\nsimd = true\n[backend]\ntype = gpu\n"),
                std::invalid_argument);
   EXPECT_THROW(ParseConfigString(
                    "[simulation]\nprecision = fp32\n[backend]\ntype = gpu\n"),
                std::invalid_argument);
-  EXPECT_THROW(ParseConfigString(
-                   "[simulation]\nsimd = true\ncpu_fast_path = false\n"),
-               std::invalid_argument);
-  EXPECT_THROW(
-      ParseConfigString(
-          "[simulation]\nprecision = fp32\ncpu_fast_path = false\n"),
-      std::invalid_argument);
 }
 
 TEST(ConfigTest, SchedulerKnobsParseAndValidate) {
-  RunConfig cfg = ParseConfigString("[simulation]\noverlap_ops = true\n");
-  EXPECT_TRUE(cfg.overlap_ops);
-  // Default: overlap opt-in.
-  EXPECT_FALSE(ParseConfigString("").overlap_ops);
-  // The grid has no patch path any more, so its knob is not a config key.
-  EXPECT_THROW(ParseConfigString("[simulation]\nincremental_grid = true\n"),
-               std::runtime_error);
-  // The overlapped task graph schedules *host* ops; the simulated-GPU
-  // backend runs its own pipeline.
+  RunConfig cfg = ParseConfigString("[simulation]\nzorder_every = 5\n");
+  EXPECT_EQ(cfg.zorder_every, 5u);
+  EXPECT_EQ(ParseConfigString("").zorder_every, 0u);
+  // The step has one pipeline: the removed scheduler and path switches are
+  // not config keys (an unknown key is a syntax error, not a no-op).
+  for (const char* key : {"incremental_grid", "overlap_ops", "cpu_fast_path"}) {
+    EXPECT_THROW(ParseConfigString(std::string("[simulation]\n") + key +
+                                   " = true\n"),
+                 std::runtime_error)
+        << key;
+  }
+  // Z-order sorting is a host pass; GPU versions 2+ sort on the device.
   EXPECT_THROW(ParseConfigString(
-                   "[simulation]\noverlap_ops = true\n[backend]\ntype = gpu\n"),
+                   "[simulation]\nzorder_every = 5\n[backend]\ntype = gpu\n"),
                std::invalid_argument);
+}
+
+TEST(ConfigTest, CountKeysRejectValuesThatDoNotFit) {
+  // threads and shards are 32-bit: a larger value is an error, not a
+  // silently truncated count.
+  EXPECT_EQ(ParseConfigString("[simulation]\nthreads = 4294967295\n")
+                .num_threads,
+            4294967295u);
+  EXPECT_THROW(ParseConfigString("[simulation]\nthreads = 4294967296\n"),
+               std::runtime_error);
+  EXPECT_THROW(ParseConfigString("[simulation]\nshards = 4294967298\n"),
+               std::runtime_error);
+  EXPECT_THROW(ParseConfigString("[simulation]\nsteps = 1e30\n"),
+               std::runtime_error);
 }
 
 TEST(ConfigTest, ShardKeysParseAndValidate) {
@@ -198,17 +207,9 @@ TEST(ConfigTest, ShardKeysParseAndValidate) {
       ParseConfigString("[simulation]\nshards = 2\nshard_balance = magic\n"),
       std::invalid_argument);
   // Sharding drives the fused CSR kernel per shard on the host: the GPU
-  // backend and the non-fused path have no sharded pipeline.
+  // backend has no sharded pipeline.
   EXPECT_THROW(ParseConfigString(
                    "[simulation]\nshards = 2\n[backend]\ntype = gpu\n"),
-               std::invalid_argument);
-  EXPECT_THROW(ParseConfigString(
-                   "[simulation]\nshards = 2\ncpu_fast_path = false\n"),
-               std::invalid_argument);
-  // The sharded pipeline schedules mechanics/diffusion itself; combining
-  // it with the overlapped task graph must fail loudly, not race.
-  EXPECT_THROW(ParseConfigString(
-                   "[simulation]\nshards = 2\noverlap_ops = true\n"),
                std::invalid_argument);
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "core/simulation.h"
+#include "spatial/kd_tree.h"
+#include "spatial/null_environment.h"
 
 namespace biosim {
 namespace {
@@ -57,20 +62,26 @@ TEST(ParamTest, ZeroMaxDisplacementIsValidBenchmarkBMode) {
 }
 
 TEST(ParamTest, ShardingRequiresTheFusedFastPath) {
+  // The sharded force pass is the fused kernel over per-shard windows of
+  // the grid's CSR: it never reads the installed environment, so a kd-tree
+  // or null environment must be rejected, not silently replaced.
   Param p;
   p.num_shards = 2;
-  EXPECT_NO_THROW(p.Validate());  // cpu_fast_path defaults on
-  p.cpu_fast_path = false;
-  EXPECT_THROW(p.Validate(), std::invalid_argument);
-}
-
-TEST(ParamTest, ShardingAndOverlapOpsRejectLoudly) {
-  Param p;
-  p.num_shards = 4;
-  p.overlap_ops = true;
-  EXPECT_THROW(p.Validate(), std::invalid_argument);
-  p.overlap_ops = false;
+  p.max_bound = 240.0;
   EXPECT_NO_THROW(p.Validate());
+  auto run_with = [&](std::unique_ptr<Environment> env) {
+    Simulation sim(p);
+    sim.CreateRandomCells(50, 8.0);
+    if (env != nullptr) {
+      sim.SetEnvironment(std::move(env));
+    }
+    sim.Simulate(1);
+  };
+  EXPECT_NO_THROW(run_with(nullptr));  // the default uniform grid
+  EXPECT_THROW(run_with(std::make_unique<KdTreeEnvironment>()),
+               std::invalid_argument);
+  EXPECT_THROW(run_with(std::make_unique<NullEnvironment>()),
+               std::invalid_argument);
 }
 
 TEST(ParamTest, SimulationConstructorValidates) {

@@ -31,24 +31,27 @@ namespace biosim {
 namespace {
 
 /// Hash after construction and after each of `steps` steps, for one run of
-/// the full-pipeline scenario at the given worker count. `zorder_cadence`
-/// and `cpu_fast_path` plumb through the fused-kernel knobs (docs/perf.md).
+/// the full-pipeline scenario at the given worker count. `zorder_cadence`,
+/// `cpu_simd`, `fp32` and `num_shards` plumb through the performance knobs
+/// (docs/perf.md); `reference` swaps in the generic callback backend.
 std::vector<uint64_t> HashTrajectory(uint32_t num_threads, uint64_t steps,
                                      uint64_t seed = 42,
                                      uint32_t zorder_cadence = 0,
-                                     bool cpu_fast_path = true,
+                                     bool reference = false,
                                      bool cpu_simd = false, bool fp32 = false,
-                                     bool overlap_ops = false) {
+                                     uint32_t num_shards = 0) {
   Param p;
   p.random_seed = seed;
   p.num_threads = num_threads;
   p.zorder_cadence = zorder_cadence;
-  p.cpu_fast_path = cpu_fast_path;
   p.cpu_simd = cpu_simd;
   p.precision = fp32 ? Precision::kFp32 : Precision::kFp64;
-  p.overlap_ops = overlap_ops;
+  p.num_shards = num_shards;
   p.max_bound = 120.0;
   Simulation sim(p);
+  if (reference) {
+    sim.SetMechanicsBackend(std::make_unique<ReferenceMechanicsBackend>());
+  }
   // Benchmark-A lattice: diameter 8 with threshold 16 so cells roughly
   // double in volume before dividing (several divisions over the run).
   sim.Create3DCellGrid(3, 20.0, 8.0, 16.0, /*growth_rate=*/120000.0);
@@ -89,11 +92,11 @@ TEST(DeterminismTest, FastPathWithZOrderSortThreadSweepIsBitwiseIdentical) {
 }
 
 TEST(DeterminismTest, FusedPathMatchesCallbackPathBitwise) {
-  // Cross-path equality over the full pipeline, divisions included: turning
-  // the fast path off must not change a single state hash (the parity
-  // harness proves the same on the benchmark-B scenario).
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, /*cpu_fast_path=*/true),
-            HashTrajectory(8, 10, 42, 0, /*cpu_fast_path=*/false));
+  // Cross-path equality over the full pipeline, divisions included: the
+  // generic callback reference must not change a single state hash (the
+  // parity harness proves the same on the benchmark-B scenario).
+  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, /*reference=*/false),
+            HashTrajectory(8, 10, 42, 0, /*reference=*/true));
 }
 
 TEST(DeterminismTest, SimdPathThreadSweepIsBitwiseSelfConsistent) {
@@ -101,41 +104,32 @@ TEST(DeterminismTest, SimdPathThreadSweepIsBitwiseSelfConsistent) {
   // (FMA-contracted distances; docs/determinism.md), but against itself it
   // owes the full contract: per-agent candidate-order accumulation makes
   // the trajectory bitwise independent of the worker count and the run.
-  auto reference = HashTrajectory(1, 10, 42, 0, true, /*cpu_simd=*/true);
-  EXPECT_EQ(HashTrajectory(2, 10, 42, 0, true, true), reference);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, true), reference);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, true), reference);
+  auto reference = HashTrajectory(1, 10, 42, 0, false, /*cpu_simd=*/true);
+  EXPECT_EQ(HashTrajectory(2, 10, 42, 0, false, true), reference);
+  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, false, true), reference);
+  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, false, true), reference);
 }
 
 TEST(DeterminismTest, Fp32PathThreadSweepIsBitwiseSelfConsistent) {
   // Same self-consistency for the FP32 compute mode (the paper's
   // Improvement I on the host): narrowed arithmetic, unchanged ordering.
   auto reference =
-      HashTrajectory(1, 10, 42, 0, true, /*cpu_simd=*/true, /*fp32=*/true);
-  EXPECT_EQ(HashTrajectory(2, 10, 42, 0, true, true, true), reference);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, true, true), reference);
-}
-
-TEST(DeterminismTest, OverlappedOpsThreadSweepIsBitwiseIdentical) {
-  // The overlapped mechanics/diffusion task graph. Mechanics and diffusion
-  // touch disjoint state after the deposit-merge barrier, so the full
-  // contract must survive.
-  auto reference = HashTrajectory(1, 10, 42, 0, true, false, false,
-                                  /*overlap_ops=*/true);
-  EXPECT_EQ(HashTrajectory(2, 10, 42, 0, true, false, false, true),
-            reference);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, false, false, true),
-            reference);
+      HashTrajectory(1, 10, 42, 0, false, /*cpu_simd=*/true, /*fp32=*/true);
+  EXPECT_EQ(HashTrajectory(2, 10, 42, 0, false, true, true), reference);
+  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, false, true, true), reference);
 }
 
 TEST(DeterminismTest, SchedulerKnobsAreBitwiseNeutral) {
-  // The scheduler knob is a pure performance switch: turning it off must
-  // not change a single per-step hash. This is the cross-path equality the
-  // steady bench re-checks on every CI run.
-  auto baseline = HashTrajectory(8, 10, 42, 0, true, false, false,
-                                 /*overlap_ops=*/false);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, false, false, true),
-            baseline);
+  // The step's only scheduling branch is the spatial + forces phase:
+  // sharded or not, with divisions and row-ordered deposits in play, it
+  // must not change a single per-step hash at any worker count.
+  auto baseline = HashTrajectory(8, 10, 42, 0, false, false, false,
+                                 /*num_shards=*/0);
+  for (uint32_t threads : {1u, 8u}) {
+    EXPECT_EQ(HashTrajectory(threads, 10, 42, 0, false, false, false, 2),
+              baseline)
+        << "threads=" << threads;
+  }
 }
 
 TEST(DeterminismTest, RunToRunRepeatIsBitwiseIdentical) {

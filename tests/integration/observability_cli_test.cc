@@ -11,6 +11,9 @@
 //   --progress             heartbeat lines appear on stderr
 //   report v2              environment carries hardware_threads AND
 //                          worker_threads (the v1 ambiguity fix)
+//   flag values            a malformed or out-of-range value exits 1 with a
+//                          message; BOOL flags take what their config keys
+//                          take (yes/no included)
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -175,6 +178,57 @@ TEST(ObservabilityCliTest, ProgressHeartbeatOnStderr) {
   }
   EXPECT_TRUE(saw_heartbeat) << "no heartbeat line on stderr";
   std::remove(err_file.c_str());
+}
+
+/// Exit code of one run; its stderr goes to `*err`.
+int RunBiosimStderr(const std::string& args, const std::string& env,
+                    std::string* err) {
+  std::string err_file = biosim::testutil::TestPath("obs_flag.err");
+  std::string cmd = env + (env.empty() ? "" : " ") + BIOSIM_RUN_BIN + " " +
+                    args + " > /dev/null 2> " + err_file;
+  int status = std::system(cmd.c_str());
+  EXPECT_TRUE(WIFEXITED(status)) << "abnormal termination of " << cmd;
+  std::ifstream f(err_file);
+  std::stringstream ss;
+  ss << f.rdbuf();
+  *err = ss.str();
+  std::remove(err_file.c_str());
+  return WEXITSTATUS(status);
+}
+
+TEST(ObservabilityCliTest, MalformedFlagValuesExitOneWithAMessage) {
+  struct Case {
+    const char* args;
+    const char* env;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"--simd treu", "", "--simd: expected a boolean"},
+      {"--simd=maybe", "", "--simd: expected a boolean"},
+      {"--steps abc", "", "--steps: expected a non-negative integer"},
+      {"--shards -1", "", "--shards: expected a non-negative integer"},
+      {"--threads 4294967296", "", "--threads: expected an integer <="},
+      {"--zorder-every 1.5", "", "--zorder-every: expected a non-negative"},
+      {"--metrics-every x", "", "--metrics-every: expected a non-negative"},
+      {"--flight-recorder-depth -3", "", "--flight-recorder-depth: expected"},
+      {"--progress soon", "", "--progress: expected a number"},
+      {"--steps 1", "BIOSIM_THREADS=many", "BIOSIM_THREADS: expected"},
+      // The removed knobs are unknown flags, not silently ignored ones.
+      {"--cpu-fast-path on", "", "unknown argument: --cpu-fast-path"},
+      {"--overlap-ops on", "", "unknown argument: --overlap-ops"},
+  };
+  for (const Case& c : cases) {
+    std::string err;
+    EXPECT_EQ(RunBiosimStderr(c.args, c.env, &err), 1) << c.args;
+    EXPECT_NE(err.find(c.message), std::string::npos)
+        << c.args << " printed: " << err;
+  }
+}
+
+TEST(ObservabilityCliTest, BoolFlagsAcceptWhatTheConfigKeyAccepts) {
+  std::string err;
+  EXPECT_EQ(RunBiosimStderr("--steps 1 --simd yes", "", &err), 0) << err;
+  EXPECT_EQ(RunBiosimStderr("--steps 1 --simd=off", "", &err), 0) << err;
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 // domain between steps.
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -234,11 +235,65 @@ TEST(ShardingTest, MoreShardsThanPlanesIsRejectedLoudly) {
   }
 }
 
-TEST(ShardingTest, OverlapOpsComposeIsRejectedLoudly) {
+TEST(ShardingTest, ShardRuntimeIsReleasedWhenShardingTurnsOff) {
   Param p;
   p.num_shards = 2;
-  p.overlap_ops = true;
-  EXPECT_THROW({ Simulation sim(p); }, std::invalid_argument);
+  p.max_bound = 240.0;
+  Simulation sim(p);
+  sim.CreateRandomCells(60, 8.0);
+  sim.Simulate(1);
+  ASSERT_NE(sim.shard_runtime(), nullptr);
+  sim.param().num_shards = 0;
+  EXPECT_EQ(sim.shard_runtime(), nullptr);
+  sim.Simulate(1);
+  EXPECT_EQ(sim.shard_runtime(), nullptr);
+  sim.param().num_shards = 3;
+  sim.Simulate(1);
+  ASSERT_NE(sim.shard_runtime(), nullptr);
+  EXPECT_EQ(sim.shard_runtime()->shards(), 3u);
+}
+
+TEST(ShardingTest, MigrationsCountOwnerChangesAcrossAWholeStep) {
+  // Stable rows (random walkers: no division, no z-order), so every uid
+  // keeps its row and the migration count is exact (docs/sharding.md). It
+  // must cover everything that moved an agent between two partitions —
+  // the behaviors AND the force pass of a step — so it equals the owner
+  // changes between the ownership snapshots taken after consecutive steps.
+  Param p;
+  p.random_seed = 5;
+  p.num_shards = 4;
+  p.max_bound = 96.0;
+  Simulation sim(p);
+  sim.CreateRandomCells(400, 8.0);  // dense: forces move agents too
+  for (AgentIndex i = 0; i < sim.rm().size(); ++i) {
+    sim.rm().AttachBehavior(i, std::make_unique<RandomWalk>(100.0));
+  }
+  auto owners = [&] {
+    const ShardRuntime* rt = sim.shard_runtime();
+    std::vector<uint32_t> owner(sim.rm().size());
+    for (uint32_t k = 0; k < rt->shards(); ++k) {
+      for (int32_t row : rt->owned_rows(k)) {
+        owner[static_cast<size_t>(row)] = k;
+      }
+    }
+    return owner;
+  };
+  sim.Simulate(1);
+  std::vector<uint32_t> before = owners();
+  uint64_t total = 0;
+  for (int step = 0; step < 6; ++step) {
+    sim.Simulate(1);
+    std::vector<uint32_t> after = owners();
+    uint64_t changed = 0;
+    for (size_t i = 0; i < after.size(); ++i) {
+      changed += after[i] != before[i] ? 1 : 0;
+    }
+    EXPECT_EQ(sim.shard_runtime()->last_migrations(), changed)
+        << "step " << sim.step();
+    total += changed;
+    before = std::move(after);
+  }
+  EXPECT_GT(total, 0u);  // the scenario does migrate agents
 }
 
 TEST(ShardingTest, ShardRuntimeExposesLoadAndHaloStats) {

@@ -2,8 +2,9 @@
 // produce a displacement buffer *bitwise identical* to the generic callback
 // path — same neighbor visit order, same FP expressions — along with equal
 // force-evaluation counts, at any exec mode, on clamped and torus
-// boundaries. Also covers the dispatch rules: the fast path engages only on
-// a UniformGridEnvironment and only when param.cpu_fast_path is set.
+// boundaries. Also covers the dispatch rule: ComputeDisplacements takes the
+// fast path exactly when the environment is a UniformGridEnvironment, and
+// ComputeDisplacementsGeneric is the callback path on any environment.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -47,16 +48,12 @@ void ExpectFusedMatchesGeneric(const ResourceManager& rm, const Param& param,
   UniformGridEnvironment env;
   env.Update(rm, param, mode);
 
-  Param generic_param = param;
-  generic_param.cpu_fast_path = false;
   MechanicalForcesOp generic_op;
-  generic_op.ComputeDisplacements(rm, env, generic_param, mode);
+  generic_op.ComputeDisplacementsGeneric(rm, env, param, mode);
   EXPECT_FALSE(generic_op.last_used_fast_path());
 
-  Param fused_param = param;
-  fused_param.cpu_fast_path = true;
   MechanicalForcesOp fused_op;
-  fused_op.ComputeDisplacements(rm, env, fused_param, mode);
+  fused_op.ComputeDisplacements(rm, env, param, mode);
   EXPECT_TRUE(fused_op.last_used_fast_path());
 
   EXPECT_EQ(generic_op.last_force_evaluations(),
@@ -125,7 +122,6 @@ TEST(CpuFastPathTest, KdTreeFallsBackToGenericPath) {
   testutil::FillRandomCells(&rm, 100, 0.0, 50.0, 10.0);
   KdTreeEnvironment env;
   Param p = BaseParam(50.0);
-  p.cpu_fast_path = true;  // requested, but no uniform grid to consume
   env.Update(rm, p, ExecMode::kSerial);
   MechanicalForcesOp op;
   op.ComputeDisplacements(rm, env, p, ExecMode::kSerial);
@@ -133,16 +129,16 @@ TEST(CpuFastPathTest, KdTreeFallsBackToGenericPath) {
   EXPECT_GT(op.last_force_evaluations(), 0u);
 }
 
-TEST(CpuFastPathTest, ConfigOffForcesGenericPathOnTheGrid) {
+TEST(CpuFastPathTest, GenericEntryTakesTheCallbackPathOnTheGrid) {
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 100, 0.0, 50.0, 10.0);
   UniformGridEnvironment env;
   Param p = BaseParam(50.0);
-  p.cpu_fast_path = false;
   env.Update(rm, p, ExecMode::kSerial);
   MechanicalForcesOp op;
-  op.ComputeDisplacements(rm, env, p, ExecMode::kSerial);
+  op.ComputeDisplacementsGeneric(rm, env, p, ExecMode::kSerial);
   EXPECT_FALSE(op.last_used_fast_path());
+  EXPECT_GT(op.last_force_evaluations(), 0u);
 }
 
 TEST(CpuFastPathTest, OversizedRadiusIsRejectedBeforeAnyPathRuns) {

@@ -49,14 +49,17 @@ enum class Path { kGeneric, kFused, kSimd, kFp32 };
 PathResult RunPath(const ResourceManager& rm, Param param, Path path,
                    ExecMode mode = ExecMode::kSerial,
                    ForceLaw law = ForceLaw::kCortex3D) {
-  param.cpu_fast_path = path != Path::kGeneric;
   param.cpu_simd = path == Path::kSimd || path == Path::kFp32;
   param.precision =
       path == Path::kFp32 ? Precision::kFp32 : Precision::kFp64;
   UniformGridEnvironment env;
   env.Update(rm, param, mode);
   MechanicalForcesOp op(law);
-  op.ComputeDisplacements(rm, env, param, mode);
+  if (path == Path::kGeneric) {
+    op.ComputeDisplacementsGeneric(rm, env, param, mode);
+  } else {
+    op.ComputeDisplacements(rm, env, param, mode);
+  }
   return {op.displacements(), op.last_force_evaluations(),
           op.last_used_fast_path()};
 }
@@ -315,7 +318,6 @@ TEST_F(SimdForceDiffTest, VectorModesRequireTheUniformGrid) {
   ResourceManager rm;
   AddAgent(&rm, {50, 50, 50}, 8.0);
   Param param;
-  param.cpu_fast_path = true;
   param.cpu_simd = true;
   KdTreeEnvironment kd;
   kd.Update(rm, param, ExecMode::kSerial);
@@ -326,7 +328,7 @@ TEST_F(SimdForceDiffTest, VectorModesRequireTheUniformGrid) {
   param.precision = Precision::kFp32;
   EXPECT_THROW(op.ComputeDisplacements(rm, kd, param, ExecMode::kSerial),
                std::invalid_argument);
-  // cpu_fast_path alone falls back to the generic path silently — that
+  // The scalar FP64 request falls back to the generic path silently — that
   // contract predates the vector modes and must not change.
   param.precision = Precision::kFp64;
   EXPECT_NO_THROW(op.ComputeDisplacements(rm, kd, param, ExecMode::kSerial));
@@ -351,7 +353,6 @@ TEST_F(SimdForceDiffTest, ReusedOpOnShrinkingPopulationMatchesFreshOp) {
   for (Path path : {Path::kFused, Path::kSimd, Path::kFp32}) {
     UniformGridEnvironment env;
     Param p = param;
-    p.cpu_fast_path = true;
     p.cpu_simd = path == Path::kSimd || path == Path::kFp32;
     p.precision = path == Path::kFp32 ? Precision::kFp32 : Precision::kFp64;
 

@@ -1,9 +1,8 @@
 // biosim_run: config-driven simulation runner.
 //
 //   biosim_run [config.ini] [--steps N] [--backend cpu|gpu] [--threads N]
-//              [--cpu-fast-path BOOL] [--simd BOOL] [--precision fp64|fp32]
-//              [--zorder-every N] [--overlap-ops BOOL] [--shards N]
-//              [--shard-balance static|adaptive] [--print-config]
+//              [--simd BOOL] [--precision fp64|fp32] [--zorder-every N]
+//              [--shards N] [--shard-balance static|adaptive] [--print-config]
 //              [--sanitize] [--trace FILE] [--metrics FILE]
 //              [--metrics-every N] [--report FILE] [--json]
 //              [--perf-counters] [--flight-recorder FILE]
@@ -11,7 +10,9 @@
 //              [--verify-determinism]
 //
 // See src/app/config.h for the config format; examples/configs/ ships
-// ready-to-run files. Every value flag also accepts --flag=value. Without a
+// ready-to-run files. Every value flag also accepts --flag=value, and takes
+// exactly the values its config key takes (BOOL: true/false, 1/0, yes/no,
+// on/off); a malformed value is an error, never a silent default. Without a
 // config file the built-in defaults run (a small cell-division model).
 //
 // The BIOSIM_THREADS environment variable overrides the worker thread count
@@ -66,6 +67,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <stdexcept>
 #include <string>
 
 #include "app/config.h"
@@ -93,6 +95,17 @@ bool FlagValue(int argc, char** argv, int* i, const char* name,
   return false;
 }
 
+/// Read a flag (or environment) value with one of the config key readers;
+/// a rejected value becomes an error that names where it came from.
+template <typename Read>
+auto Checked(const std::string& where, const std::string& value, Read read) {
+  try {
+    return read(value);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(where + ": " + e.what());
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -101,9 +114,8 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: %s [config.ini] [--steps N] [--backend cpu|gpu] "
-                 "[--threads N] [--cpu-fast-path BOOL] [--simd BOOL] "
+                 "[--threads N] [--simd BOOL] "
                  "[--precision fp64|fp32] [--zorder-every N] "
-                 "[--overlap-ops BOOL] "
                  "[--shards N] [--shard-balance static|adaptive] "
                  "[--print-config] [--sanitize] [--trace FILE] "
                  "[--metrics FILE] [--metrics-every N] [--report FILE] "
@@ -122,8 +134,7 @@ int main(int argc, char** argv) {
       first_flag = 2;
     }
     if (const char* env_threads = std::getenv("BIOSIM_THREADS")) {
-      cfg.num_threads =
-          static_cast<uint32_t>(std::atoll(env_threads));
+      cfg.num_threads = Checked("BIOSIM_THREADS", env_threads, ToU32);
     }
 
     bool print_config = false;
@@ -131,42 +142,39 @@ int main(int argc, char** argv) {
     bool verify_determinism = false;
     std::string value;
     for (int i = first_flag; i < argc; ++i) {
+      // The flag's name without any "=value", for error messages.
+      const std::string flag(argv[i], std::strcspn(argv[i], "="));
       if (FlagValue(argc, argv, &i, "--steps", &value)) {
-        cfg.steps = static_cast<uint64_t>(std::atoll(value.c_str()));
+        cfg.steps = Checked(flag, value, ToU64);
       } else if (FlagValue(argc, argv, &i, "--backend", &value)) {
         cfg.backend_type = value;
       } else if (FlagValue(argc, argv, &i, "--threads", &value)) {
-        cfg.num_threads = static_cast<uint32_t>(std::atoll(value.c_str()));
-      } else if (FlagValue(argc, argv, &i, "--cpu-fast-path", &value)) {
-        cfg.cpu_fast_path = value == "1" || value == "true" || value == "on";
+        cfg.num_threads = Checked(flag, value, ToU32);
       } else if (FlagValue(argc, argv, &i, "--simd", &value)) {
-        cfg.simd = value == "1" || value == "true" || value == "on";
+        cfg.simd = Checked(flag, value, ToBool);
       } else if (FlagValue(argc, argv, &i, "--precision", &value)) {
         cfg.precision = value;
       } else if (FlagValue(argc, argv, &i, "--zorder-every", &value)) {
-        cfg.zorder_every = static_cast<uint64_t>(std::atoll(value.c_str()));
-      } else if (FlagValue(argc, argv, &i, "--overlap-ops", &value)) {
-        cfg.overlap_ops = value == "1" || value == "true" || value == "on";
+        cfg.zorder_every = Checked(flag, value, ToU64);
       } else if (FlagValue(argc, argv, &i, "--shards", &value)) {
-        cfg.shards = static_cast<uint32_t>(std::atoll(value.c_str()));
+        cfg.shards = Checked(flag, value, ToU32);
       } else if (FlagValue(argc, argv, &i, "--shard-balance", &value)) {
         cfg.shard_balance = value;
       } else if (FlagValue(argc, argv, &i, "--trace", &value)) {
         cfg.trace_path = value;
       } else if (FlagValue(argc, argv, &i, "--metrics-every", &value)) {
-        cfg.metrics_every = static_cast<uint64_t>(std::atoll(value.c_str()));
+        cfg.metrics_every = Checked(flag, value, ToU64);
       } else if (FlagValue(argc, argv, &i, "--metrics", &value)) {
         cfg.metrics_path = value;
       } else if (FlagValue(argc, argv, &i, "--report", &value)) {
         cfg.report_path = value;
       } else if (FlagValue(argc, argv, &i, "--flight-recorder-depth",
                            &value)) {
-        cfg.flight_recorder_depth =
-            static_cast<uint64_t>(std::atoll(value.c_str()));
+        cfg.flight_recorder_depth = Checked(flag, value, ToU64);
       } else if (FlagValue(argc, argv, &i, "--flight-recorder", &value)) {
         cfg.flight_recorder_path = value;
       } else if (FlagValue(argc, argv, &i, "--progress", &value)) {
-        cfg.progress_seconds = std::atof(value.c_str());
+        cfg.progress_seconds = Checked(flag, value, ToDouble);
       } else if (std::strcmp(argv[i], "--perf-counters") == 0) {
         cfg.perf_counters = true;
       } else if (std::strcmp(argv[i], "--json") == 0) {
