@@ -5,12 +5,12 @@
 // `--json PATH` additionally writes BENCH_cpu.json — the perf-trajectory
 // record CI archives per commit: wall time of one mechanical-forces pass
 // over a clustered-sphere population through the generic callback path,
-// the fused CSR fast path (docs/perf.md), the vectorized fused kernel
-// (simd_path; physics/simd_force_kernel.h) and its FP32 precision mode
-// (fp32_path), plus their speedups. The scalar paths owe bitwise-identical
-// displacement buffers; the vector paths owe their documented tolerance
-// (1e-12 SIMD / 2e-2 FP32 on one pass) — and every path owes the same
-// force-evaluation count. The run exits non-zero if any bound is ever
+// the fused CSR kernel (fused_path; physics/simd_force_kernel.h,
+// docs/perf.md "One force kernel") and its FP32 precision mode
+// (fp32_path), plus their speedups. The fused kernel owes the callback
+// path's displacement buffer bit for bit, serial and parallel; FP32 owes
+// its documented tolerance (2e-2 on one pass) — and every path owes the
+// same force-evaluation count. The run exits 2 if any bound is ever
 // exceeded, so the CI perf-smoke job doubles as a parity gate.
 // `--agents N` / `--reps N` resize the scenario (defaults: 32768 agents,
 // best of 5 reps).
@@ -177,41 +177,29 @@ int WriteBenchJson(const std::string& path, size_t agents, int reps) {
                &MechanicalForcesOp::ComputeDisplacementsGeneric);
   PathTiming fused =
       TimePath(rm, env, param, ExecMode::kSerial, reps, &fused_op);
+  const std::vector<Double3> fused_serial = fused_op.displacements();
   PathTiming fused_mt =
       TimePath(rm, env, param, ExecMode::kParallel, reps, &fused_op);
 
   // The parity gate: both paths owe the identical (neighbor, d^2) visit
-  // sequence, hence equal evaluation counts and bitwise-equal buffers.
+  // sequence and FP expressions, hence equal evaluation counts and
+  // bitwise-equal buffers, serial and parallel.
   bool parity = generic.force_evals == fused.force_evals &&
                 fused.force_evals == fused_mt.force_evals &&
+                generic_op.displacements() == fused_serial &&
                 generic_op.displacements() == fused_op.displacements();
 
-  // The vectorized kernel (physics/simd_force_kernel.h) and its FP32 mode.
-  // Same traversal and hit decisions, so the evaluation counts stay equal;
-  // the displacement buffers owe a tolerance instead of bitwise equality
-  // (FMA-contracted distances; narrowed pair math for FP32). One pass of
-  // FMA contraction is ulp-level noise — 1e-12 is generous by orders; the
-  // FP32 bound matches the cpu_fp32 parity row.
-  MechanicalForcesOp simd_op;
+  // The kernel's FP32 mode: same traversal and hit decisions, so the
+  // evaluation count stays equal; narrowed pair math owes the cpu_fp32
+  // parity row's bound instead of bitwise equality.
   MechanicalForcesOp fp32_op;
-  Param simd_param = param;
-  simd_param.cpu_simd = true;
-  Param fp32_param = simd_param;
+  Param fp32_param = param;
   fp32_param.precision = Precision::kFp32;
-
-  PathTiming simd =
-      TimePath(rm, env, simd_param, ExecMode::kSerial, reps, &simd_op);
-  PathTiming simd_mt =
-      TimePath(rm, env, simd_param, ExecMode::kParallel, reps, &simd_op);
-  const double simd_delta =
-      MaxAbsDelta(fused_op.displacements(), simd_op.displacements());
   PathTiming fp32 =
       TimePath(rm, env, fp32_param, ExecMode::kSerial, reps, &fp32_op);
   const double fp32_delta =
-      MaxAbsDelta(fused_op.displacements(), fp32_op.displacements());
-  parity = parity && simd.force_evals == fused.force_evals &&
-           simd_mt.force_evals == fused.force_evals &&
-           fp32.force_evals == fused.force_evals && simd_delta <= 1e-12 &&
+      MaxAbsDelta(generic_op.displacements(), fp32_op.displacements());
+  parity = parity && fp32.force_evals == fused.force_evals &&
            fp32_delta <= 2e-2;
 
   // A fused pass over the same population after a Z-order row permutation:
@@ -241,17 +229,11 @@ int WriteBenchJson(const std::string& path, size_t agents, int reps) {
   fu.Set("wall_ms_parallel", fused_mt.best_ms);
   fu.Set("wall_ms_zorder", fused_z.best_ms);
   doc.Set("fused_path", std::move(fu));
-  json::Value sv = json::Value::MakeObject();
-  sv.Set("wall_ms", simd.best_ms);
-  sv.Set("wall_ms_parallel", simd_mt.best_ms);
-  sv.Set("max_abs_delta", simd_delta);
-  doc.Set("simd_path", std::move(sv));
   json::Value f32 = json::Value::MakeObject();
   f32.Set("wall_ms", fp32.best_ms);
   f32.Set("max_abs_delta", fp32_delta);
   doc.Set("fp32_path", std::move(f32));
   doc.Set("speedup", fused.best_ms > 0.0 ? generic.best_ms / fused.best_ms : 0.0);
-  doc.Set("speedup_simd", simd.best_ms > 0.0 ? fused.best_ms / simd.best_ms : 0.0);
   doc.Set("speedup_fp32", fp32.best_ms > 0.0 ? fused.best_ms / fp32.best_ms : 0.0);
   doc.Set("force_eval_parity", parity);
 
@@ -261,23 +243,25 @@ int WriteBenchJson(const std::string& path, size_t agents, int reps) {
   }
   std::printf("wrote %s: callback %.2f ms, fused %.2f ms (%.2fx), "
               "fused parallel %.2f ms, fused+zorder %.2f ms, "
-              "simd %.2f ms (%.2fx over fused, delta %.1e), "
-              "simd parallel %.2f ms, fp32 %.2f ms (%.2fx, delta %.1e), "
+              "fp32 %.2f ms (%.2fx, delta %.1e), "
               "%zu force evals, parity %s\n",
               path.c_str(), generic.best_ms, fused.best_ms,
               fused.best_ms > 0.0 ? generic.best_ms / fused.best_ms : 0.0,
-              fused_mt.best_ms, fused_z.best_ms, simd.best_ms,
-              simd.best_ms > 0.0 ? fused.best_ms / simd.best_ms : 0.0,
-              simd_delta, simd_mt.best_ms, fp32.best_ms,
+              fused_mt.best_ms, fused_z.best_ms, fp32.best_ms,
               fp32.best_ms > 0.0 ? fused.best_ms / fp32.best_ms : 0.0,
               fp32_delta, generic.force_evals, parity ? "OK" : "FAIL");
   if (!parity) {
     std::fprintf(stderr,
                  "error: a force path diverged from its reference "
-                 "(evals generic %zu fused %zu simd %zu fp32 %zu, "
-                 "simd delta %.3e, fp32 delta %.3e)\n",
-                 generic.force_evals, fused.force_evals, simd.force_evals,
-                 fp32.force_evals, simd_delta, fp32_delta);
+                 "(evals generic %zu fused %zu fused parallel %zu fp32 %zu, "
+                 "fused buffers bitwise %s/%s, fp32 delta %.3e)\n",
+                 generic.force_evals, fused.force_evals, fused_mt.force_evals,
+                 fp32.force_evals,
+                 generic_op.displacements() == fused_serial ? "yes" : "no",
+                 generic_op.displacements() == fused_op.displacements()
+                     ? "yes"
+                     : "no",
+                 fp32_delta);
     return 2;
   }
   return 0;

@@ -113,9 +113,9 @@ void RunConfig::Validate() const {
   if (precision != "fp64" && precision != "fp32") {
     fail("precision must be fp64 or fp32, got '" + precision + "'");
   }
-  if ((simd || precision == "fp32") && backend_type == "gpu") {
-    fail("simd / precision are CPU force-kernel knobs (the GPU ladder has "
-         "its own FP32 versions)");
+  if (precision == "fp32" && backend_type == "gpu") {
+    fail("precision is a CPU force-kernel knob (the GPU ladder has its own "
+         "FP32 versions)");
   }
   if (gpu_device != "1080ti" && gpu_device != "v100") {
     fail("gpu device must be 1080ti or v100, got '" + gpu_device + "'");
@@ -186,8 +186,6 @@ RunConfig ParseConfigString(const std::string& text) {
        [&](const std::string& v) {
          cfg.num_threads = ToU32(v);
        }},
-      {"simd",
-       [&](const std::string& v) { cfg.simd = ToBool(v); }},
       {"precision",
        [&](const std::string& v) { cfg.precision = v; }},
       {"zorder_every",

@@ -7,7 +7,6 @@
 //   timestep = 0.01
 //   boundary = clamp              ; clamp | torus | open
 //   threads = 0                   ; CPU workers; 0 = hardware concurrency
-//   simd = false                  ; vectorize the fused kernel (docs/perf.md)
 //   precision = fp64              ; fp64 | fp32 force-kernel pair math
 //   zorder_every = 0              ; re-sort agents into Z-order every N steps
 //   shards = 0                    ; spatial domain shards (docs/sharding.md); 0=off
@@ -71,15 +70,9 @@ struct RunConfig {
   /// concurrency. Overridable via --threads and the BIOSIM_THREADS env var
   /// (the CI determinism sweep varies this; results must not depend on it).
   uint32_t num_threads = 0;
-  /// Vectorize the fused force kernel (docs/perf.md). Opt-in: the vector
-  /// kernel FMA-contracts the distance computation, so results are only
-  /// tolerance-equal to the scalar reference (cpu_simd parity row), though
-  /// still bitwise reproducible run-to-run, across thread counts and
-  /// across vector widths. CPU backend only.
-  bool simd = false;
-  /// Pair-math precision of the CPU force kernel: "fp64" (default) or
-  /// "fp32" (the paper's Improvement I on the host; implies the vectorized
-  /// kernel and the cpu_fp32 parity bound). CPU backend only — the GPU
+  /// Pair-math precision of the CPU force kernel: "fp64" (default; bitwise
+  /// equal to the generic reference) or "fp32" (the paper's Improvement I
+  /// on the host; the cpu_fp32 parity bound). CPU backend only — the GPU
   /// ladder has its own FP32 versions.
   std::string precision = "fp64";
   /// Re-sort agents into Z-order every N steps on the CPU pipeline

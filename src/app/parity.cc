@@ -35,11 +35,6 @@ constexpr double kGpuFp64Tol = 1e-9;
 // robustness headroom without hiding real errors (a wrong kernel is off by
 // whole diameters, not hundredths).
 constexpr double kGpuFp32Tol = 2e-2;
-// The SIMD kernel FMA-contracts the squared-distance computation
-// (physics/simd_force_kernel.h); each contracted d² differs by at most one
-// ulp from the scalar dot product, so a five-step trajectory stays far
-// below the kd-tree-style 1e-9 bound it shares.
-constexpr double kCpuSimdTol = 1e-9;
 // Host FP32 pair math mirrors the GPU FP32 ladder (same narrowing, double
 // accumulation), so it owes the same 2e-2 bound as gpu_v1..v3.
 constexpr double kCpuFp32Tol = 2e-2;
@@ -51,8 +46,6 @@ struct BackendSpec {
   int gpu_version = 0;
   bool bitwise = false;
   double tolerance = 0.0;
-  /// Vectorize the fused kernel (Param::cpu_simd); tolerance contract.
-  bool simd = false;
   /// FP32 pair math (Param::precision = kFp32); tolerance contract.
   bool fp32 = false;
   /// Spatial shard count (Param::num_shards); 0 = unsharded. The sharded
@@ -67,7 +60,6 @@ std::unique_ptr<Simulation> MakeSim(const ParityScenario& sc,
   param.random_seed = sc.seed;
   param.min_bound = 0.0;
   param.max_bound = sc.space;
-  param.cpu_simd = b.simd;
   param.precision = b.fp32 ? Precision::kFp32 : Precision::kFp64;
   param.num_shards = b.shards;
   auto sim = std::make_unique<Simulation>(param);
@@ -143,11 +135,9 @@ ParityReport RunParity(const ParityScenario& scenario) {
       {"cpu_fast", Kind::kCpuGrid, ExecMode::kSerial, 0, true, 0.0},
       {"cpu_fast_mt", Kind::kCpuGrid, ExecMode::kParallel, 0, true, 0.0},
       {"cpu_sharded", Kind::kCpuGrid, ExecMode::kParallel, 0, true, 0.0, false,
-       false, 2},
-      {"cpu_simd", Kind::kCpuGrid, ExecMode::kSerial, 0, false, kCpuSimdTol,
-       true},
+       2},
       {"cpu_fp32", Kind::kCpuGrid, ExecMode::kSerial, 0, false, kCpuFp32Tol,
-       true, true},
+       true},
       {"kdtree", Kind::kCpuKdTree, ExecMode::kSerial, 0, false, kKdTreeTol},
       {"gpu_v0", Kind::kGpu, ExecMode::kSerial, 0, false, kGpuFp64Tol},
       {"gpu_v1", Kind::kGpu, ExecMode::kSerial, 1, false, kGpuFp32Tol},

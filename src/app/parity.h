@@ -2,10 +2,10 @@
 //
 // Runs one seeded scenario through every neighbor-search / mechanics backend
 // combination the engine ships — kd-tree, uniform grid serial, uniform grid
-// parallel, the fused CSR fast path (serial and parallel), the spatially
+// parallel, the fused CSR kernel (serial and parallel), the spatially
 // sharded pipeline (cpu_sharded: two shards with halo exchange,
-// docs/sharding.md), the vectorized fused kernel (cpu_simd, and its FP32
-// precision mode cpu_fp32), and the GPU version ladder v0..v3 — and
+// docs/sharding.md), the fused kernel's FP32 precision mode (cpu_fp32),
+// and the GPU version ladder v0..v3 — and
 // compares each trajectory against the uniform-grid serial reference (which
 // runs the generic callback pass through ReferenceMechanicsBackend, so the
 // cpu_fast rows prove fused == callback):
@@ -16,10 +16,9 @@
 //     shard count invisible) are compared by their per-step state-hash
 //     sequences;
 //   * backends that legitimately alter individual FP operations
-//     (kd-tree traversal order; the SIMD kernel's FMA-contracted
-//     distances; host/GPU FP32 kernels) are compared by the final
-//     per-agent positions, keyed by uid, against a documented tolerance
-//     bound.
+//     (kd-tree traversal order; host/GPU FP32 kernels) are compared by the
+//     final per-agent positions, keyed by uid, against a documented
+//     tolerance bound.
 //
 // Both tools/biosim_parity.cc and tests/integration/parity_test.cc are thin
 // wrappers around RunParity, so CI and local runs enforce the same bounds.

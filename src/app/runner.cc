@@ -44,7 +44,6 @@ obs::json::Value ConfigJson(const RunConfig& cfg) {
   v.Set("max_displacement", cfg.max_displacement);
   v.Set("boundary", cfg.boundary);
   v.Set("threads", cfg.num_threads);
-  v.Set("simd", cfg.simd);
   v.Set("precision", cfg.precision);
   v.Set("zorder_every", cfg.zorder_every);
   if (cfg.shards > 0) {
@@ -148,7 +147,6 @@ std::unique_ptr<Simulation> BuildSimulation(const RunConfig& cfg) {
   Param param;
   param.random_seed = cfg.seed;
   param.num_threads = cfg.num_threads;
-  param.cpu_simd = cfg.simd;
   param.precision =
       cfg.precision == "fp32" ? Precision::kFp32 : Precision::kFp64;
   param.zorder_cadence = static_cast<uint32_t>(cfg.zorder_every);

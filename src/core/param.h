@@ -92,19 +92,11 @@ struct Param {
   /// Worker threads for CPU-parallel operations; 0 = hardware concurrency.
   uint32_t num_threads = 0;
 
-  /// Vectorize the fused force kernel's per-agent candidate sweep
-  /// (physics/simd_force_kernel.h): width-padded SoA gather + vector
-  /// distance pass, dispatched to the widest ISA the CPU supports
-  /// (BIOSIM_SIMD=scalar forces width 1). Opt-in because the vector pass
-  /// FMA-contracts the squared distance, changing the last bits vs the
-  /// scalar reference — the cpu_simd parity row bounds the divergence at
-  /// 1e-9. Results are bitwise independent of the dispatched width and of
-  /// the thread count. Requires the uniform-grid environment.
-  bool cpu_simd = false;
-
-  /// Pair-math precision of the CPU force kernel. kFp32 implies the
-  /// vectorized kernel (same requirements as cpu_simd) and owes the
-  /// cpu_fp32 parity bound of 2e-2, mirroring the FP32 GPU rows.
+  /// Pair-math precision of the CPU force kernel
+  /// (physics/simd_force_kernel.h). kFp64 is bitwise equal to the generic
+  /// callback path at every vector width. kFp32 narrows the pair math,
+  /// requires the uniform-grid environment and owes the cpu_fp32 parity
+  /// bound of 2e-2, mirroring the FP32 GPU rows.
   Precision precision = Precision::kFp64;
 
   /// No-op; perfbench (perfbench/src/) is its only reader. It selected a

@@ -7,35 +7,30 @@
 // the same two-phase structure the GPU offload uses (compute on device,
 // apply on host).
 //
-// Three compute paths (docs/perf.md); ComputeDisplacements picks the fused
-// or SIMD path whenever the environment is a UniformGridEnvironment and the
+// Two compute paths (docs/perf.md); ComputeDisplacements takes the fused
+// kernel whenever the environment is a UniformGridEnvironment and the
 // generic path otherwise:
 //
 //   * generic (ComputeDisplacementsGeneric): per-agent virtual
 //     ForEachNeighborWithinRadius with a function_ref callback — works
-//     against any Environment, and is the reference the fused path is
+//     against any Environment, and is the reference the fused kernel is
 //     tested against (ReferenceMechanicsBackend, parity rows ug_serial /
 //     ug_parallel);
-//   * fused (uniform grid): slot-by-slot traversal of the grid's
-//     occupancy-compacted CSR (spatial/compact_grid.h). Each occupied box
-//     resolves its 27-neighbor block once and reuses it for every resident
-//     agent, and the inner loop streams contiguous runs with no indirect
-//     calls. Bitwise-identical to the generic path: both visit each
-//     agent's neighbors in the identical canonical order
-//     (GridGeometry::ForEachNeighborCoord block order, ascending agent
-//     index within a box) and evaluate the same FP expressions on them;
-//   * SIMD (param.cpu_simd and/or Precision::kFp32, uniform grid only):
-//     the fused traversal with the per-agent candidate sweep vectorized
-//     over width-padded SoA scratch (physics/simd_force_kernel.h),
-//     optionally with the pair math narrowed to FP32 (the paper's
-//     Improvement I on the host). FMA-contracted distances mean this path
-//     owes only a *tolerance* against the scalar reference — but it is
-//     bitwise independent of the dispatched vector width, the worker
-//     count, and the run (docs/determinism.md, parity rows cpu_simd /
-//     cpu_fp32).
+//   * fused (uniform grid; physics/simd_force_kernel.h): slot-by-slot
+//     traversal of the grid's occupancy-compacted CSR
+//     (spatial/compact_grid.h). Each occupied box gathers its 27-neighbor
+//     candidates once into SoA scratch, and every resident agent sweeps
+//     them with a vectorized distance pass and scalar contact math on the
+//     hits. In FP64 it is bitwise-identical to the generic path at every
+//     vector width and worker count: both visit each agent's neighbors in
+//     the identical canonical order (GridGeometry::ForEachNeighborCoord
+//     block order, ascending agent index within a box) and evaluate the
+//     same FP expressions on them. Precision::kFp32 narrows the pair math
+//     (the paper's Improvement I on the host) and owes the cpu_fp32 parity
+//     bound (docs/determinism.md).
 //
 // The unsharded grid and every spatial shard are windows of the same
-// compacted CSR, so the fused and SIMD paths have one entry
+// compacted CSR, so the fused kernel has one entry
 // (ComputeDisplacementsSharded) that the unsharded step calls with a single
 // window.
 #ifndef BIOSIM_PHYSICS_MECHANICAL_FORCES_OP_H_
@@ -75,18 +70,17 @@ class MechanicalForcesOp {
       : force_law_(law) {}
 
   /// Compute per-agent displacements into an internal buffer: the fused
-  /// (or SIMD) pass on a uniform grid, the generic pass on any other
-  /// environment. The environment must be up to date. Throws
-  /// std::invalid_argument when a vector mode (param.cpu_simd / FP32
-  /// precision) is requested but the environment is not a uniform grid —
-  /// the vector kernel consumes the grid's CSR layout and has no generic
-  /// fallback.
+  /// kernel on a uniform grid, the generic pass on any other environment.
+  /// The environment must be up to date. Throws std::invalid_argument when
+  /// FP32 precision is requested but the environment is not a uniform grid
+  /// — the fused kernel consumes the grid's CSR layout and the generic pass
+  /// has no FP32 mode.
   void ComputeDisplacements(const ResourceManager& rm, const Environment& env,
                             const Param& param, ExecMode mode);
 
   /// The generic callback pass on any environment, uniform grid included:
-  /// the scalar FP64 reference the fused path owes bitwise equality to.
-  /// Ignores the vector modes.
+  /// the FP64 reference the fused kernel owes bitwise equality to.
+  /// Ignores Param::precision.
   void ComputeDisplacementsGeneric(const ResourceManager& rm,
                                    const Environment& env, const Param& param,
                                    ExecMode mode);
@@ -96,7 +90,7 @@ class MechanicalForcesOp {
   void ApplyDisplacements(ResourceManager& rm, const Param& param,
                           ExecMode mode);
 
-  /// The fused (or SIMD) pass, run once per window over that window's CSR
+  /// The fused kernel, run once per window over that window's CSR
   /// view and owned slots; ComputeDisplacements calls it with the global
   /// grid as the one window. Each owned box
   /// presents the identical candidate sequence the global grid would (the
@@ -119,12 +113,11 @@ class MechanicalForcesOp {
 
   /// Number of force evaluations in the last ComputeDisplacements call
   /// (work-count diagnostics; also drives CPU-model calibration). Identical
-  /// between the generic, fused, and SIMD paths — the CI perf-smoke job
+  /// between the generic path and the fused kernel — the CI perf-smoke job
   /// fails if they ever diverge.
   size_t last_force_evaluations() const { return force_evaluations_; }
 
-  /// Whether the last ComputeDisplacements call took the fused CSR path
-  /// (scalar or SIMD).
+  /// Whether the last ComputeDisplacements call took the fused CSR kernel.
   bool last_used_fast_path() const { return used_fast_path_; }
 
  private:

@@ -1,52 +1,51 @@
-// Width-agnostic SIMD instantiation of the fused CSR force kernel.
+// The fused CSR force kernel: the one force path on the uniform grid
+// (docs/perf.md "One force kernel").
 //
-// Same traversal as the scalar fused pass in physics/mechanical_forces_op.cc
-// (docs/perf.md): a walk over the compacted grid's occupied slots, one
-// 27-neighbor candidate gather per box, one sweep over the gathered
-// stream per resident agent. What changes is the gather layout and the
-// sweep:
+// A walk over the compacted grid's occupied slots, one 27-neighbor
+// candidate gather per box, one sweep over the gathered stream per
+// resident agent:
 //
-//   * the candidate block is gathered into padded, 64-byte-aligned SoA
-//     component arrays (x/y/z/diameter in `T`, the compute precision) —
-//     the layout a vector loop wants, instead of the scalar path's
-//     array-of-Double3;
-//   * the per-agent sweep is two passes. Pass 1 is the vector loop: W
-//     candidates at a time, compute the squared distance stream into an
-//     aligned scratch array — pure straight-line lane math, no masks, no
-//     branches, which is exactly the shape the per-ISA TUs turn into
-//     packed subs/FMAs. Pass 2 walks the d² stream scalarly in candidate
-//     order and runs the contact math only on hits (~1 in 6 candidates
-//     in the bench population), with the same expression sequence as the
-//     scalar force law (physics/force_law.h). The distance test is ~all
-//     of the sweep's work, so vectorizing pass 1 is where the speedup
-//     lives; keeping the contact math scalar avoids paying vector sqrt
-//     and division on mostly-empty lane groups;
+//   * the candidate block is gathered into 64-byte-aligned SoA component
+//     arrays (x/y/z/diameter in `T`, the compute precision) — the layout
+//     a vector loop wants;
+//   * the per-agent sweep is three passes. Pass 1 computes the squared
+//     distance of every candidate into a scratch stream: whole W-groups
+//     as straight-line lane math (no masks, no branches), then the last
+//     cand_n % W candidates as a scalar tail with the same expression, so
+//     nothing is padded. Pass 2 compacts the indices of the hits
+//     (d² <= r²) branchlessly, skipping the agent's own slot by its
+//     position in the stream. Pass 3 runs the contact math on the hits,
+//     in candidate order. The distance test is ~all of the sweep's work,
+//     so vectorizing pass 1 is where the speedup lives; keeping the
+//     contact math scalar avoids paying vector sqrt and division on
+//     mostly-empty lane groups;
 //   * pair math runs in `T` (double, or float for the paper's
-//     Improvement-I FP32 mode), but accumulation is always double, in
-//     candidate order.
+//     Improvement-I FP32 mode); accumulation is always double.
 //
-// Determinism contract (docs/determinism.md): each lane's d² is a pure
-// per-candidate value (FMA is correctly rounded, so grouping candidates
-// W at a time cannot change it) and pass 2 accumulates in candidate
-// order — the result is *independent of W*. BIOSIM_SIMD=scalar, the
-// baseline TU and the AVX2 TU all produce bitwise-identical forces, and
-// boxes never share accumulation state, so every (precision, width) mode
-// is also bitwise self-consistent at any worker count. Against the
-// scalar fused reference the modes owe a *tolerance*: d² here is
-// FMA-contracted where the scalar path's dot product is not (plus
-// narrowed inputs for FP32), enforced by the cpu_simd / cpu_fp32 parity
-// rows and tests/physics/simd_force_diff_test.
-//
-// Two deliberate count-exactness choices:
-//   * d² is computed with explicit Fma (correctly rounded everywhere),
-//     so the hit decision d² <= r² cannot drift between the per-ISA TUs
-//     or compilers — the force_evaluations_ parity gate depends on it;
-//   * the agent's own slot is NOT skipped: its distance is exactly zero
-//     (its coordinates round-trip through `T` identically for the query
-//     and the gather), so it always counts as a hit and contributes zero
-//     force (the d² > 0 guard). The guaranteed one self-hit per resident
-//     is subtracted from the evaluation count afterwards, which keeps an
-//     index compare out of the sweep.
+// Contract (docs/determinism.md): the FP64 instantiation is bitwise
+// equal to the generic callback path
+// (MechanicalForcesOp::ComputeDisplacementsGeneric with
+// SphereSphereForce / HertzForce) — forces and force_evaluations — at
+// every vector width and worker count. Three choices make it so:
+//   * d² is `dx*dx + dy*dy + dz*dz`, Real3::Dot's order, never an FMA
+//     chain; the per-ISA TUs build with -ffp-contract=off, so the lane
+//     loop, the scalar tail and the W = 1 kernel give the same bits, and
+//     the hit decision d² <= r² is the callback's;
+//   * each agent's sum starts at its tractor force and adds the pair
+//     forces in candidate order, the callback's `force +=` sequence;
+//   * the contact math follows SphereSphereForce / HertzForce on the
+//     callback's operands: on a torus pj = pi - MinImage(pi, pj) and then
+//     d = pi - pj (which need not equal the wrapped separation), and a hit
+//     whose dist² <= 0 or delta <= 0 still adds +0.0, as the callback adds
+//     a zero vector. The self slot is skipped by position (own box's
+//     offset in the stream + the resident's rank), the callback's
+//     `j == query` test.
+// The body is written inline rather than through EvaluateForce /
+// MinImageVector: inline helpers instantiated in the -mavx2 TU would be
+// emitted as weak symbols that the linker may fold with copies compiled
+// for another ISA. Boxes never share accumulation state, so every mode is
+// bitwise self-consistent at any worker count; FP32 owes the cpu_fp32
+// parity bound against FP64.
 #ifndef BIOSIM_PHYSICS_SIMD_FORCE_KERNEL_H_
 #define BIOSIM_PHYSICS_SIMD_FORCE_KERNEL_H_
 
@@ -66,12 +65,13 @@
 
 namespace biosim::detail {
 
-/// Flattened inputs of one SIMD force pass. Plain pointers so the
+/// Flattened inputs of one fused force pass. Plain pointers so the
 /// per-ISA kernel TUs need no view of ResourceManager/Param. The kernel
-/// writes *net forces* (tractor + pair sum); the caller converts them to
-/// displacements afterwards — that epilogue must not live in the per-ISA
-/// TUs, where its inline helpers would be emitted as weak symbols that
-/// the linker could fold with copies compiled for a different ISA.
+/// writes *net forces* (the tractor force plus the pair forces, summed in
+/// that order); the caller converts them to displacements afterwards —
+/// that epilogue must not live in the per-ISA TUs, where its inline
+/// helpers would be emitted as weak symbols that the linker could fold
+/// with copies compiled for a different ISA.
 struct FusedSimdArgs {
   const Double3* positions = nullptr;
   const double* diameters = nullptr;
@@ -99,13 +99,6 @@ struct FusedSimdArgs {
   std::atomic<size_t>* force_evaluations = nullptr;
 };
 
-/// Coordinate written into the gather padding lanes: far enough from any
-/// real agent that a padded lane could never pass the d² <= r² test.
-/// Pass 2 stops at the unpadded candidate count, so pad lanes are only
-/// ever touched by pass-1 arithmetic — their d² may even overflow to
-/// +inf in FP32, which is harmless (finite math never traps).
-inline constexpr double kPadCoordinate = 1e18;
-
 /// The kernel template. `Tag` exists purely to keep instantiations from
 /// different translation units distinct: each per-ISA TU passes its own
 /// internal-linkage tag type, so a baseline-ISA body and an AVX2 body
@@ -113,6 +106,7 @@ inline constexpr double kPadCoordinate = 1e18;
 template <typename T, int W, typename Tag>
 void RunFusedSimdKernel(const FusedSimdArgs& a) {
   using V = simd::Vec<T, W>;
+  constexpr size_t kW = static_cast<size_t>(W);
 
   const int32_t* starts = a.view.box_starts;
   const int32_t* agents = a.view.box_agents;
@@ -127,6 +121,13 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
   const V neg_half_edgev = V::Broadcast(-half_edge);
   const bool hertz = a.law == ForceLaw::kHertz;
   const bool torus = a.torus;
+  // MinImageVector's per-component wrap. The closure type is local to this
+  // instantiation, whose Tag keeps it distinct per TU, so the linker cannot
+  // fold it with another ISA's copy.
+  const auto wrap = [&](T d) {
+    d = d > half_edge ? d - edge : d;
+    return d < -half_edge ? d + edge : d;
+  };
 
   ParallelForChunks(a.mode, a.num_slots, [&](size_t begin, size_t end) {
     // Per-chunk gather scratch; uninitialized capacity-managed storage,
@@ -137,8 +138,7 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
     AlignedBuffer<T> ds_buf;
     AlignedBuffer<T> d2s_buf;
     AlignedBuffer<uint32_t> hidx_buf;
-    size_t hits = 0;       // candidates with d² <= r², self-hits included
-    size_t residents = 0;  // one guaranteed self-hit per resident agent
+    size_t hits = 0;  // candidates with d² <= r², self slots excluded
     size_t blocks[27];
 
     for (size_t bi = begin; bi < end; ++bi) {
@@ -146,18 +146,19 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
       const int block_count = a.view.neighbor_slots(
           a.view.self, static_cast<uint32_t>(b), blocks);
       size_t cand_n = 0;
+      size_t own_offset = 0;  // where box b's residents start in the stream
       for (int k = 0; k < block_count; ++k) {
+        if (blocks[k] == b) {
+          own_offset = cand_n;
+        }
         cand_n += static_cast<size_t>(starts[blocks[k] + 1] -
                                       starts[blocks[k]]);
       }
-      const size_t padded =
-          (cand_n + static_cast<size_t>(W) - 1) / static_cast<size_t>(W) *
-          static_cast<size_t>(W);
-      T* xs = xs_buf.EnsureCapacity(padded);
-      T* ys = ys_buf.EnsureCapacity(padded);
-      T* zs = zs_buf.EnsureCapacity(padded);
-      T* ds = ds_buf.EnsureCapacity(padded);
-      T* d2s = d2s_buf.EnsureCapacity(padded);
+      T* xs = xs_buf.EnsureCapacity(cand_n);
+      T* ys = ys_buf.EnsureCapacity(cand_n);
+      T* zs = zs_buf.EnsureCapacity(cand_n);
+      T* ds = ds_buf.EnsureCapacity(cand_n);
+      T* d2s = d2s_buf.EnsureCapacity(cand_n);
       uint32_t* hidx = hidx_buf.EnsureCapacity(cand_n);
       size_t w = 0;
       for (int k = 0; k < block_count; ++k) {
@@ -171,39 +172,32 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
           ds[w] = static_cast<T>(a.diameters[j]);
         }
       }
-      for (size_t p = cand_n; p < padded; ++p) {
-        xs[p] = static_cast<T>(kPadCoordinate);
-        ys[p] = static_cast<T>(kPadCoordinate);
-        zs[p] = static_cast<T>(kPadCoordinate);
-        ds[p] = T{0};
-      }
+      const size_t full = cand_n / kW * kW;
 
       BIOSIM_HOT_LOOP_BEGIN();
+      const int32_t row_begin = starts[b];
       const int32_t row_end = starts[b + 1];
-      for (int32_t t = starts[b]; t < row_end; ++t) {
+      for (int32_t t = row_begin; t < row_end; ++t) {
         const int32_t i = agents[t];
-        // The query position is narrowed through T exactly like its own
-        // gathered slot, so the self-distance is exactly zero in every
-        // precision (the self-hit accounting above relies on this).
+        const size_t self = own_offset + static_cast<size_t>(t - row_begin);
         const T pix = static_cast<T>(a.positions[i].x);
         const T piy = static_cast<T>(a.positions[i].y);
         const T piz = static_cast<T>(a.positions[i].z);
         const T ri = static_cast<T>(a.diameters[i]) / T{2};
-        // Pass 1: the vector loop — squared distance of every candidate
-        // into the d² scratch. Each lane is a pure function of its
-        // candidate, so the stream's values do not depend on W.
+        // Pass 1: squared distance of every candidate. Whole W-groups in
+        // vector lanes, the rest in the scalar tail; both evaluate the
+        // same per-candidate expression, so the stream does not depend
+        // on W. The torus wrap is MinImageVector's two-sided test: a lane
+        // wrapped down lands in [-edge/2, edge/2], so the second select is
+        // the scalar else-if.
         const V pixv = V::Broadcast(pix);
         const V piyv = V::Broadcast(piy);
         const V pizv = V::Broadcast(piz);
-        for (size_t u = 0; u < padded; u += static_cast<size_t>(W)) {
+        for (size_t u = 0; u < full; u += kW) {
           V dx = pixv - V::Load(xs + u);
           V dy = piyv - V::Load(ys + u);
           V dz = pizv - V::Load(zs + u);
           if (torus) {
-            // Minimum-image wrap per component, same two-sided test as
-            // the scalar MinImageVector. The re-test after the first
-            // select is equivalent to the scalar else-if: a wrapped
-            // lane lands strictly inside (-edge/2, edge/2].
             dx = simd::Select(simd::Gt(dx, half_edgev), dx - edgev, dx);
             dx = simd::Select(simd::Lt(dx, neg_half_edgev), dx + edgev, dx);
             dy = simd::Select(simd::Gt(dy, half_edgev), dy - edgev, dy);
@@ -211,79 +205,86 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
             dz = simd::Select(simd::Gt(dz, half_edgev), dz - edgev, dz);
             dz = simd::Select(simd::Lt(dz, neg_half_edgev), dz + edgev, dz);
           }
-          const V d2 = simd::Fma(dz, dz, simd::Fma(dy, dy, dx * dx));
+          const V d2 = dx * dx + dy * dy + dz * dz;
           d2.Store(d2s + u);
         }
-        // Pass 2: branchless compaction of the hit indices. A plain
-        // `if (d2 <= r2) continue` scan stalls on one mispredict per
-        // unpredictable candidate (hit rate ~1 in 6, spatially random) —
-        // the unconditional store + conditional increment compiles to
-        // store/setcc/add and retires at pipeline speed.
+        for (size_t u = full; u < cand_n; ++u) {
+          T dx = pix - xs[u];
+          T dy = piy - ys[u];
+          T dz = piz - zs[u];
+          if (torus) {
+            dx = wrap(dx);
+            dy = wrap(dy);
+            dz = wrap(dz);
+          }
+          d2s[u] = dx * dx + dy * dy + dz * dz;
+        }
+        // Pass 2: branchless compaction of the hit indices around the
+        // self slot. A plain `if (d2 <= r2) continue` scan stalls on one
+        // mispredict per unpredictable candidate (hit rate ~1 in 6,
+        // spatially random); the unconditional store + conditional
+        // increment compiles to store/setcc/add.
         size_t m = 0;
-        for (size_t c = 0; c < cand_n; ++c) {
+        for (size_t c = 0; c < self; ++c) {
+          hidx[m] = static_cast<uint32_t>(c);
+          m += static_cast<size_t>(d2s[c] <= r2s);
+        }
+        for (size_t c = self + 1; c < cand_n; ++c) {
           hidx[m] = static_cast<uint32_t>(c);
           m += static_cast<size_t>(d2s[c] <= r2s);
         }
         hits += m;
-        // Pass 3: contact math on the hits only, in candidate order,
-        // mirroring the scalar force law's expression sequence
-        // (physics/force_law.h). Double accumulation regardless of T.
-        double fx = 0.0;
-        double fy = 0.0;
-        double fz = 0.0;
+        // Pass 3: contact math on the hits, in candidate order, on the
+        // callback path's operands (SphereSphereForce / HertzForce).
+        double fx = a.tractor[i].x;
+        double fy = a.tractor[i].y;
+        double fz = a.tractor[i].z;
         for (size_t h = 0; h < m; ++h) {
           const size_t c = hidx[h];
-          const T d2 = d2s[c];
-          if (!(d2 > T{0})) {
-            continue;  // self lane or exactly coincident centers
-          }
-          const T dist = std::sqrt(d2);
-          const T rj = ds[c] * T{0.5};
-          const T delta = ri + rj - dist;
-          if (!(delta > T{0})) {
-            continue;
-          }
-          const T reduced = (ri * rj) / (ri + rj);
-          T magnitude;
-          if (hertz) {
-            magnitude = kappa * std::sqrt(reduced) * delta * std::sqrt(delta);
-          } else {
-            magnitude = kappa * delta - gamma * std::sqrt(reduced * delta);
-          }
-          const T scale = magnitude / dist;
-          // Recompute the (wrapped) separation for this hit; same inputs
-          // and operations as its pass-1 lane, so bitwise the same.
           T dx = pix - xs[c];
           T dy = piy - ys[c];
           T dz = piz - zs[c];
+          T dist2 = d2s[c];
           if (torus) {
-            if (dx > half_edge) {
-              dx -= edge;
-            } else if (dx < -half_edge) {
-              dx += edge;
-            }
-            if (dy > half_edge) {
-              dy -= edge;
-            } else if (dy < -half_edge) {
-              dy += edge;
-            }
-            if (dz > half_edge) {
-              dz -= edge;
-            } else if (dz < -half_edge) {
-              dz += edge;
+            // The callback shifts the neighbor to pj = pi - miv and the
+            // force law takes d = pi - pj, which can differ from miv in
+            // the last bits.
+            dx = pix - (pix - wrap(dx));
+            dy = piy - (piy - wrap(dy));
+            dz = piz - (piz - wrap(dz));
+            dist2 = dx * dx + dy * dy + dz * dz;
+          }
+          T cx{0};
+          T cy{0};
+          T cz{0};
+          if (!(dist2 <= T{0})) {
+            const T dist = std::sqrt(dist2);
+            const T rj = ds[c] / T{2};
+            const T delta = ri + rj - dist;
+            if (!(delta <= T{0})) {
+              const T reduced = (ri * rj) / (ri + rj);
+              T magnitude;
+              if (hertz) {
+                magnitude =
+                    kappa * std::sqrt(reduced) * delta * std::sqrt(delta);
+              } else {
+                magnitude = kappa * delta - gamma * std::sqrt(reduced * delta);
+              }
+              const T scale = magnitude / dist;
+              cx = dx * scale;
+              cy = dy * scale;
+              cz = dz * scale;
             }
           }
-          fx += static_cast<double>(dx * scale);
-          fy += static_cast<double>(dy * scale);
-          fz += static_cast<double>(dz * scale);
+          fx += static_cast<double>(cx);
+          fy += static_cast<double>(cy);
+          fz += static_cast<double>(cz);
         }
-        a.out_forces[i] = a.tractor[i] + Double3{fx, fy, fz};
+        a.out_forces[i] = Double3{fx, fy, fz};
       }
       BIOSIM_HOT_LOOP_END();
-      residents += static_cast<size_t>(row_end - starts[b]);
     }
-    a.force_evaluations->fetch_add(hits - residents,
-                                   std::memory_order_relaxed);
+    a.force_evaluations->fetch_add(hits, std::memory_order_relaxed);
   });
 }
 

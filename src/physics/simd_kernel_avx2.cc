@@ -7,9 +7,10 @@
 // instructions could leak into code reachable on older machines.
 //
 // With -mavx2 -mfma -O3 -fno-math-errno the lane loops compile to
-// 256-bit vmulpd/vsqrtpd/vblendvpd sequences and std::fma becomes
-// vfmadd — the same correctly-rounded operation the other TUs get from
-// libm, so the d² hit test stays bit-identical across kernels.
+// 256-bit vsubpd/vmulpd/vaddpd/vblendvpd sequences; -ffp-contract=off
+// keeps the compiler from fusing d²'s multiplies and adds, so every
+// candidate's d² has the bits of the scalar dot product and the results
+// equal the other TUs' (and the generic callback path's) bit for bit.
 #include "physics/simd_force_kernel.h"
 #include "physics/simd_kernel_dispatch.h"
 

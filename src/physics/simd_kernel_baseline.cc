@@ -1,10 +1,9 @@
 // Native-width instantiation of the SIMD force kernel for the build's
 // baseline ISA (no -m flags beyond the toolchain default), so it runs on
 // any CPU the binary runs on. On plain x86-64 that means SSE2 codegen:
-// the lane loops still vectorize at 2 doubles / 4 floats per op, and
-// std::fma falls back to the correctly-rounded libm routine — slower,
-// but bit-identical to the hardware-FMA TUs, which is what keeps the hit
-// counts ISA-independent. The AVX2 TU supersedes this one at runtime
+// the lane loops still vectorize at 2 doubles / 4 floats per op, with
+// the same per-lane IEEE operations as every other TU, so forces and hit
+// counts are ISA-independent. The AVX2 TU supersedes this one at runtime
 // where available (simd_kernel_dispatch.h).
 //
 // Compiled with -O3 -fno-math-errno (see src/physics/CMakeLists.txt):

@@ -38,9 +38,8 @@ using FusedSimdKernelFn = void (*)(const FusedSimdArgs&);
 
 /// Pick the kernel for the requested precision: the W = 1 instantiation
 /// when BIOSIM_SIMD=scalar, otherwise the widest ISA this CPU supports.
-/// The choice affects performance and lane regrouping only — every
-/// candidate kernel satisfies the same tolerance and self-consistency
-/// contract (docs/determinism.md).
+/// The choice affects performance only — every candidate kernel gives the
+/// same bits (docs/determinism.md).
 inline FusedSimdKernelFn SelectFusedSimdKernel(bool fp32,
                                                simd::WidthMode mode) {
   if (mode == simd::WidthMode::kScalar) {

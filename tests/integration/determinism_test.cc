@@ -32,19 +32,17 @@ namespace {
 
 /// Hash after construction and after each of `steps` steps, for one run of
 /// the full-pipeline scenario at the given worker count. `zorder_cadence`,
-/// `cpu_simd`, `fp32` and `num_shards` plumb through the performance knobs
+/// `fp32` and `num_shards` plumb through the performance knobs
 /// (docs/perf.md); `reference` swaps in the generic callback backend.
 std::vector<uint64_t> HashTrajectory(uint32_t num_threads, uint64_t steps,
                                      uint64_t seed = 42,
                                      uint32_t zorder_cadence = 0,
-                                     bool reference = false,
-                                     bool cpu_simd = false, bool fp32 = false,
+                                     bool reference = false, bool fp32 = false,
                                      uint32_t num_shards = 0) {
   Param p;
   p.random_seed = seed;
   p.num_threads = num_threads;
   p.zorder_cadence = zorder_cadence;
-  p.cpu_simd = cpu_simd;
   p.precision = fp32 ? Precision::kFp32 : Precision::kFp64;
   p.num_shards = num_shards;
   p.max_bound = 120.0;
@@ -100,34 +98,42 @@ TEST(DeterminismTest, FusedPathMatchesCallbackPathBitwise) {
 }
 
 TEST(DeterminismTest, SimdPathThreadSweepIsBitwiseSelfConsistent) {
-  // The vectorized kernel owes a *tolerance* against the scalar reference
-  // (FMA-contracted distances; docs/determinism.md), but against itself it
-  // owes the full contract: per-agent candidate-order accumulation makes
-  // the trajectory bitwise independent of the worker count and the run.
-  auto reference = HashTrajectory(1, 10, 42, 0, false, /*cpu_simd=*/true);
-  EXPECT_EQ(HashTrajectory(2, 10, 42, 0, false, true), reference);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, false, true), reference);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, false, true), reference);
+  // The FP64 force kernel owes the callback path's bits at every vector
+  // width (physics/simd_force_kernel.h): the forced W=1 kernel and the
+  // native-width one, at any worker count, give the reference trajectory.
+  const char* prev = std::getenv("BIOSIM_SIMD");
+  const std::string saved = prev != nullptr ? prev : "";
+  const auto reference = HashTrajectory(1, 10, 42, 0, /*reference=*/true);
+  for (const char* width : {"scalar", "native"}) {
+    setenv("BIOSIM_SIMD", width, 1);
+    for (uint32_t threads : {1u, 2u, 8u}) {
+      EXPECT_EQ(HashTrajectory(threads, 10), reference)
+          << "BIOSIM_SIMD=" << width << " threads=" << threads;
+    }
+  }
+  if (prev != nullptr) {
+    setenv("BIOSIM_SIMD", saved.c_str(), 1);
+  } else {
+    unsetenv("BIOSIM_SIMD");
+  }
 }
 
 TEST(DeterminismTest, Fp32PathThreadSweepIsBitwiseSelfConsistent) {
   // Same self-consistency for the FP32 compute mode (the paper's
   // Improvement I on the host): narrowed arithmetic, unchanged ordering.
-  auto reference =
-      HashTrajectory(1, 10, 42, 0, false, /*cpu_simd=*/true, /*fp32=*/true);
-  EXPECT_EQ(HashTrajectory(2, 10, 42, 0, false, true, true), reference);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, false, true, true), reference);
+  auto reference = HashTrajectory(1, 10, 42, 0, false, /*fp32=*/true);
+  EXPECT_EQ(HashTrajectory(2, 10, 42, 0, false, true), reference);
+  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, false, true), reference);
 }
 
 TEST(DeterminismTest, SchedulerKnobsAreBitwiseNeutral) {
   // The step's only scheduling branch is the spatial + forces phase:
   // sharded or not, with divisions and row-ordered deposits in play, it
   // must not change a single per-step hash at any worker count.
-  auto baseline = HashTrajectory(8, 10, 42, 0, false, false, false,
+  auto baseline = HashTrajectory(8, 10, 42, 0, false, false,
                                  /*num_shards=*/0);
   for (uint32_t threads : {1u, 8u}) {
-    EXPECT_EQ(HashTrajectory(threads, 10, 42, 0, false, false, false, 2),
-              baseline)
+    EXPECT_EQ(HashTrajectory(threads, 10, 42, 0, false, false, 2), baseline)
         << "threads=" << threads;
   }
 }

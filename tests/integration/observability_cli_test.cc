@@ -203,8 +203,6 @@ TEST(ObservabilityCliTest, MalformedFlagValuesExitOneWithAMessage) {
     const char* message;
   };
   const Case cases[] = {
-      {"--simd treu", "", "--simd: expected a boolean"},
-      {"--simd=maybe", "", "--simd: expected a boolean"},
       {"--steps abc", "", "--steps: expected a non-negative integer"},
       {"--shards -1", "", "--shards: expected a non-negative integer"},
       {"--threads 4294967296", "", "--threads: expected an integer <="},
@@ -216,6 +214,8 @@ TEST(ObservabilityCliTest, MalformedFlagValuesExitOneWithAMessage) {
       // The removed knobs are unknown flags, not silently ignored ones.
       {"--cpu-fast-path on", "", "unknown argument: --cpu-fast-path"},
       {"--overlap-ops on", "", "unknown argument: --overlap-ops"},
+      {"--simd on", "", "unknown argument: --simd"},
+      {"--simd=off", "", "unknown argument: --simd"},
   };
   for (const Case& c : cases) {
     std::string err;
@@ -223,12 +223,6 @@ TEST(ObservabilityCliTest, MalformedFlagValuesExitOneWithAMessage) {
     EXPECT_NE(err.find(c.message), std::string::npos)
         << c.args << " printed: " << err;
   }
-}
-
-TEST(ObservabilityCliTest, BoolFlagsAcceptWhatTheConfigKeyAccepts) {
-  std::string err;
-  EXPECT_EQ(RunBiosimStderr("--steps 1 --simd yes", "", &err), 0) << err;
-  EXPECT_EQ(RunBiosimStderr("--steps 1 --simd=off", "", &err), 0) << err;
 }
 
 }  // namespace

@@ -1,27 +1,30 @@
-// Differential battery for the vectorized force kernel
-// (physics/simd_force_kernel.h): the SIMD and FP32 paths versus the
-// scalar fused reference, across seeded populations chosen to exercise
-// every branch of the sweep — clustered (dense boxes), uniform (sparse),
-// torus wrap-around, coincident centers, single agents, empty worlds,
-// both force laws. The contracts under test (docs/determinism.md):
+// Differential battery for the fused force kernel
+// (physics/simd_force_kernel.h) against the generic callback pass
+// (MechanicalForcesOp::ComputeDisplacementsGeneric), across seeded
+// populations chosen to exercise every branch of the sweep — clustered
+// (dense boxes), uniform (sparse), torus wrap-around, coincident centers,
+// tractor forces with adherence, every candidate count around the vector
+// tail, both force laws. The contracts under test (docs/determinism.md):
 //
-//   * cpu_simd displacements stay within 1e-12 of the scalar fused path
-//     per component (the only FP difference is the FMA-contracted d²);
-//   * cpu_fp32 displacements stay within an absolute FP32 bound;
-//   * every path — generic, fused, SIMD, FP32 — reports the *identical*
-//     force-evaluation count (the hit decision is exact in every mode);
-//   * results are bitwise independent of the dispatched vector width
-//     (BIOSIM_SIMD=scalar == native, lane for lane);
-//   * vector modes refuse non-uniform-grid environments and unknown
-//     BIOSIM_SIMD values instead of silently falling back.
+//   * FP64 displacements equal the callback pass's *bit for bit* (signed
+//     zeros included), and so does the force-evaluation count, at
+//     BIOSIM_SIMD=scalar and native, serial and parallel;
+//   * FP32 displacements stay within an absolute FP32 bound and report
+//     the identical force-evaluation count;
+//   * FP32 refuses non-uniform-grid environments, and the kernel refuses
+//     unknown BIOSIM_SIMD values, instead of silently falling back.
 //
-// Populations set adherence = 0 so the displacement gate (|F| must
-// exceed adherence) cannot turn a sub-tolerance force difference into a
-// whole displacement difference; the gate itself is covered by the
-// parity rows, which run the full default-adherence pipeline.
+// The new cases each fail if one of the kernel's three bitwise choices is
+// undone: d² in Real3::Dot's order (every FP64 case), the sum starting at
+// the tractor force (TractorForcesAndAdherence), and the contact math on
+// the callback's operands (TorusPairWhoseShiftedSeparationDiffers,
+// ZeroForceHitsAddPositiveZero). CandidateCountsAroundTheVectorTail covers
+// the scalar tail that replaced the padded lanes.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -29,7 +32,9 @@
 #include "core/param.h"
 #include "core/random.h"
 #include "core/resource_manager.h"
+#include "core/simd.h"
 #include "core/thread_pool.h"
+#include "physics/displacement.h"
 #include "physics/force_law.h"
 #include "physics/mechanical_forces_op.h"
 #include "spatial/kd_tree.h"
@@ -44,12 +49,11 @@ struct PathResult {
   bool used_fast_path = false;
 };
 
-enum class Path { kGeneric, kFused, kSimd, kFp32 };
+enum class Path { kGeneric, kFused, kFp32 };
 
 PathResult RunPath(const ResourceManager& rm, Param param, Path path,
                    ExecMode mode = ExecMode::kSerial,
                    ForceLaw law = ForceLaw::kCortex3D) {
-  param.cpu_simd = path == Path::kSimd || path == Path::kFp32;
   param.precision =
       path == Path::kFp32 ? Precision::kFp32 : Precision::kFp64;
   UniformGridEnvironment env;
@@ -64,6 +68,24 @@ PathResult RunPath(const ResourceManager& rm, Param param, Path path,
           op.last_used_fast_path()};
 }
 
+/// Row of the first component whose bits differ (so +0.0 and -0.0 differ),
+/// or -1 when the buffers are bitwise equal; -2 on a size mismatch.
+long FirstBitDifference(const std::vector<Double3>& a,
+                        const std::vector<Double3>& b) {
+  if (a.size() != b.size()) {
+    return -2;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    for (size_t k = 0; k < 3; ++k) {
+      if (std::bit_cast<uint64_t>(a[i][k]) !=
+          std::bit_cast<uint64_t>(b[i][k])) {
+        return static_cast<long>(i);
+      }
+    }
+  }
+  return -1;
+}
+
 double MaxAbsComponentDiff(const std::vector<Double3>& a,
                            const std::vector<Double3>& b) {
   EXPECT_EQ(a.size(), b.size());
@@ -76,27 +98,37 @@ double MaxAbsComponentDiff(const std::vector<Double3>& a,
   return max_diff;
 }
 
-constexpr double kSimdTol = 1e-12;  // one pass, FMA-contraction noise only
-constexpr double kFp32Tol = 1e-3;   // one pass of narrowed pair math
+constexpr double kFp32Tol = 1e-3;  // one pass of narrowed pair math
 
-void AddAgent(ResourceManager* rm, const Double3& pos, double diameter) {
+void AddAgent(ResourceManager* rm, const Double3& pos, double diameter,
+              const Double3& tractor = {}, double adherence = 0.0) {
   NewAgentSpec spec;
   spec.position = pos;
   spec.diameter = diameter;
-  spec.adherence = 0.0;
+  spec.adherence = adherence;
+  spec.tractor_force = tractor;
   rm->AddAgent(std::move(spec));
 }
 
 /// Dense ball (bench-style): box occupancy from packed core to empty
-/// corners, mixed diameters.
-void FillClusteredBall(ResourceManager* rm, size_t n, uint64_t seed) {
+/// corners, mixed diameters. With `tractors`, each agent also gets a random
+/// tractor force and adherence of the pair forces' magnitude.
+void FillClusteredBall(ResourceManager* rm, size_t n, uint64_t seed,
+                       bool tractors = false) {
   const double ball_radius = 8.0 * std::cbrt(static_cast<double>(n) / 16.0);
   const Double3 center{ball_radius + 10, ball_radius + 10, ball_radius + 10};
   Random rng(seed);
   rm->Reserve(n);
   for (size_t i = 0; i < n; ++i) {
     const double r = ball_radius * std::cbrt(rng.Uniform());
-    AddAgent(rm, center + rng.UnitVector() * r, rng.Uniform(4.0, 8.0));
+    const Double3 pos = center + rng.UnitVector() * r;
+    const double diameter = rng.Uniform(4.0, 8.0);
+    if (tractors) {
+      AddAgent(rm, pos, diameter, rng.UnitVector() * rng.Uniform(0.0, 20.0),
+               rng.Uniform(0.0, 5.0));
+    } else {
+      AddAgent(rm, pos, diameter);
+    }
   }
 }
 
@@ -112,8 +144,8 @@ void FillUniformCube(ResourceManager* rm, size_t n, double edge,
 class SimdForceDiffTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // The width override would silently change which kernel half these
-    // tests exercise; pin it to the default and restore after.
+    // The width override would silently change which kernel these tests
+    // exercise; pin it to the default and restore after.
     const char* prev = std::getenv("BIOSIM_SIMD");
     had_env_ = prev != nullptr;
     if (had_env_) {
@@ -129,44 +161,44 @@ class SimdForceDiffTest : public ::testing::Test {
     }
   }
 
-  /// The core differential: all four paths over one population; equal
-  /// eval counts everywhere, displacement bounds per mode.
+  /// The core differential: the FP64 kernel at both widths and both
+  /// execution modes is bitwise the callback pass; FP32 is within its
+  /// bound with the same evaluation count.
   void CheckAllPaths(const ResourceManager& rm, const Param& param,
                      ForceLaw law = ForceLaw::kCortex3D) {
     const PathResult generic =
         RunPath(rm, param, Path::kGeneric, ExecMode::kSerial, law);
-    const PathResult fused =
-        RunPath(rm, param, Path::kFused, ExecMode::kSerial, law);
-    const PathResult simd =
-        RunPath(rm, param, Path::kSimd, ExecMode::kSerial, law);
+    EXPECT_FALSE(generic.used_fast_path);
+
+    for (const char* width : {"scalar", "native"}) {
+      setenv("BIOSIM_SIMD", width, 1);
+      for (ExecMode mode : {ExecMode::kSerial, ExecMode::kParallel}) {
+        const PathResult fused = RunPath(rm, param, Path::kFused, mode, law);
+        const char* mode_name =
+            mode == ExecMode::kSerial ? "serial" : "parallel";
+        EXPECT_TRUE(fused.used_fast_path);
+        EXPECT_EQ(fused.force_evals, generic.force_evals)
+            << "BIOSIM_SIMD=" << width << " " << mode_name;
+        EXPECT_EQ(FirstBitDifference(generic.displacements,
+                                     fused.displacements),
+                  -1)
+            << "BIOSIM_SIMD=" << width << " " << mode_name;
+      }
+    }
+    unsetenv("BIOSIM_SIMD");
+
     const PathResult fp32 =
         RunPath(rm, param, Path::kFp32, ExecMode::kSerial, law);
-
-    EXPECT_FALSE(generic.used_fast_path);
-    EXPECT_TRUE(fused.used_fast_path);
-    EXPECT_TRUE(simd.used_fast_path);
     EXPECT_TRUE(fp32.used_fast_path);
-
-    EXPECT_EQ(generic.force_evals, fused.force_evals);
-    EXPECT_EQ(fused.force_evals, simd.force_evals);
-    EXPECT_EQ(fused.force_evals, fp32.force_evals);
-
-    // fused == generic is the existing bitwise contract; the vector
-    // modes owe their tolerance against that shared reference.
-    EXPECT_EQ(MaxAbsComponentDiff(generic.displacements,
-                                  fused.displacements),
-              0.0);
-    EXPECT_LE(MaxAbsComponentDiff(fused.displacements, simd.displacements),
-              kSimdTol);
-    EXPECT_LE(MaxAbsComponentDiff(fused.displacements, fp32.displacements),
+    EXPECT_EQ(fp32.force_evals, generic.force_evals);
+    EXPECT_LE(MaxAbsComponentDiff(generic.displacements, fp32.displacements),
               kFp32Tol);
-
-    // Parallel execution of the vector modes is bitwise-identical to
-    // their serial run (per-box accumulation; chunking changes nothing).
-    const PathResult simd_mt =
-        RunPath(rm, param, Path::kSimd, ExecMode::kParallel, law);
-    EXPECT_EQ(simd.displacements, simd_mt.displacements);
-    EXPECT_EQ(simd.force_evals, simd_mt.force_evals);
+    // Per-box accumulation: chunking changes nothing in FP32 either.
+    const PathResult fp32_mt =
+        RunPath(rm, param, Path::kFp32, ExecMode::kParallel, law);
+    EXPECT_EQ(FirstBitDifference(fp32.displacements, fp32_mt.displacements),
+              -1);
+    EXPECT_EQ(fp32.force_evals, fp32_mt.force_evals);
   }
 
  private:
@@ -234,15 +266,15 @@ TEST_F(SimdForceDiffTest, DegeneratePopulations) {
   {
     // Empty world: no evaluations, no crash, empty buffer.
     ResourceManager rm;
-    const PathResult simd = RunPath(rm, param, Path::kSimd);
-    EXPECT_EQ(simd.force_evals, 0u);
-    EXPECT_TRUE(simd.displacements.empty());
+    const PathResult fused = RunPath(rm, param, Path::kFused);
+    EXPECT_EQ(fused.force_evals, 0u);
+    EXPECT_TRUE(fused.displacements.empty());
   }
   {
     // Single agent: its self-slot must not count as an evaluation.
     ResourceManager rm;
     AddAgent(&rm, {50, 50, 50}, 8.0);
-    for (Path p : {Path::kFused, Path::kSimd, Path::kFp32}) {
+    for (Path p : {Path::kFused, Path::kFp32}) {
       const PathResult r = RunPath(rm, param, p);
       EXPECT_EQ(r.force_evals, 0u);
       ASSERT_EQ(r.displacements.size(), 1u);
@@ -258,7 +290,8 @@ TEST_F(SimdForceDiffTest, DegeneratePopulations) {
     ResourceManager rm;
     AddAgent(&rm, {50, 50, 50}, 8.0);
     AddAgent(&rm, {50, 50, 50}, 8.0);
-    for (Path p : {Path::kFused, Path::kSimd, Path::kFp32}) {
+    CheckAllPaths(rm, param);
+    for (Path p : {Path::kFused, Path::kFp32}) {
       const PathResult r = RunPath(rm, param, p);
       EXPECT_EQ(r.force_evals, 2u);
       EXPECT_EQ(MaxAbsComponentDiff(
@@ -278,11 +311,95 @@ TEST_F(SimdForceDiffTest, DegeneratePopulations) {
   }
 }
 
+TEST_F(SimdForceDiffTest, TorusPairWhoseShiftedSeparationDiffers) {
+  // The callback shifts the neighbor to pj = pi - miv and the force law
+  // takes d = pi - pj; near a face, pi - (pi - miv) rounds away from miv.
+  // Find such a pair across the x face of a 64-edge torus, then require
+  // the kernel to reproduce the callback's bits, which it only does on the
+  // callback's operands.
+  const double edge = 64.0;
+  Double3 pi;
+  Double3 pj;
+  bool found = false;
+  for (int k = 0; k < 1000 && !found; ++k) {
+    pi = {edge - 0.3 - 1e-3 * k / 7.0, 32.0, 32.0};
+    pj = {0.2 + 1e-3 * k / 3.0, 32.0, 32.0};
+    const Double3 miv = MinImageVector(pi, pj, edge);
+    found = pi.x - (pi.x - miv.x) != miv.x;
+  }
+  ASSERT_TRUE(found);
+  ResourceManager rm;
+  AddAgent(&rm, pi, 8.0);
+  AddAgent(&rm, pj, 8.0);
+  Param param;
+  param.max_bound = edge;
+  param.boundary_mode = BoundaryMode::kTorus;
+  CheckAllPaths(rm, param);
+  CheckAllPaths(rm, param, ForceLaw::kHertz);
+}
+
+TEST_F(SimdForceDiffTest, TractorForcesAndAdherence) {
+  // Each agent's sum starts at its tractor force and adds the pair forces
+  // in candidate order, as the callback's `force +=` does; summing the
+  // pairs first and adding the tractor last rounds differently. Nonzero
+  // adherence keeps the displacement gate live on both sides of it.
+  for (uint64_t seed : {71u, 72u}) {
+    ResourceManager rm;
+    FillClusteredBall(&rm, 1500, seed, /*tractors=*/true);
+    Param param;
+    param.bound_space = false;
+    CheckAllPaths(rm, param);
+  }
+}
+
+TEST_F(SimdForceDiffTest, ZeroForceHitsAddPositiveZero) {
+  // A hit whose dist² <= 0 (coincident distinct centers) or delta <= 0
+  // (within the interaction radius, not touching) adds +0.0, as the
+  // callback adds a zero vector: a -0.0 tractor component becomes +0.0,
+  // which the displacement keeps once the y component breaks adherence.
+  const Double3 tractor{-0.0, 2.0, -0.0};
+  ResourceManager rm;
+  AddAgent(&rm, {50, 50, 50}, 8.0, tractor);
+  AddAgent(&rm, {50, 50, 50}, 8.0, tractor);
+  // Radius 8 (largest diameter) but radii 1 + 1 at distance 5.
+  AddAgent(&rm, {100, 100, 100}, 2.0, tractor);
+  AddAgent(&rm, {105, 100, 100}, 2.0, tractor);
+  Param param;
+  param.bound_space = false;
+  CheckAllPaths(rm, param);
+  const PathResult fused = RunPath(rm, param, Path::kFused);
+  EXPECT_EQ(fused.force_evals, 4u);
+  for (const Double3& d : fused.displacements) {
+    EXPECT_FALSE(std::signbit(d.x));
+    EXPECT_FALSE(std::signbit(d.z));
+    EXPECT_GT(d.y, 0.0);
+  }
+}
+
+TEST_F(SimdForceDiffTest, CandidateCountsAroundTheVectorTail) {
+  // Isolated clusters of 1 .. 2W+2 overlapping agents, each inside one
+  // box: every resident sees 0 .. 2W+1 other candidates, so the sweep runs
+  // no whole lane group, whole groups only, and every tail length.
+  constexpr int kW = simd::kNativeLanes<double>;
+  ResourceManager rm;
+  Random rng(81);
+  for (int size = 1; size <= 2 * kW + 2; ++size) {
+    const Double3 center{20.0 + 40.0 * size, 20.0, 20.0};
+    for (int a = 0; a < size; ++a) {
+      AddAgent(&rm, center + rng.UnitVector() * rng.Uniform(0.0, 1.5),
+               rng.Uniform(6.0, 8.0), rng.UnitVector() * rng.Uniform(0.0, 3.0));
+    }
+  }
+  Param param;
+  param.bound_space = false;
+  CheckAllPaths(rm, param);
+}
+
 TEST_F(SimdForceDiffTest, ResultsAreBitwiseIndependentOfVectorWidth) {
   // The W-independence claim (physics/simd_force_kernel.h): the forced
   // W=1 kernel and the native-width kernel must produce identical bits,
-  // not merely close ones — d² per candidate is a single correctly
-  // rounded FMA chain regardless of grouping, and accumulation runs in
+  // not merely close ones, in both precisions — d² per candidate is one
+  // fixed expression regardless of grouping, and accumulation runs in
   // candidate order.
   ResourceManager rm;
   FillClusteredBall(&rm, 1200, 51);
@@ -290,15 +407,17 @@ TEST_F(SimdForceDiffTest, ResultsAreBitwiseIndependentOfVectorWidth) {
   param.bound_space = false;
 
   setenv("BIOSIM_SIMD", "scalar", 1);
-  const PathResult w1 = RunPath(rm, param, Path::kSimd);
+  const PathResult w1 = RunPath(rm, param, Path::kFused);
   const PathResult w1_fp32 = RunPath(rm, param, Path::kFp32);
   setenv("BIOSIM_SIMD", "native", 1);
-  const PathResult native = RunPath(rm, param, Path::kSimd);
+  const PathResult native = RunPath(rm, param, Path::kFused);
   const PathResult native_fp32 = RunPath(rm, param, Path::kFp32);
 
-  EXPECT_EQ(w1.displacements, native.displacements);
+  EXPECT_EQ(FirstBitDifference(w1.displacements, native.displacements), -1);
   EXPECT_EQ(w1.force_evals, native.force_evals);
-  EXPECT_EQ(w1_fp32.displacements, native_fp32.displacements);
+  EXPECT_EQ(FirstBitDifference(w1_fp32.displacements,
+                               native_fp32.displacements),
+            -1);
   EXPECT_EQ(w1_fp32.force_evals, native_fp32.force_evals);
 }
 
@@ -308,35 +427,32 @@ TEST_F(SimdForceDiffTest, UnknownWidthOverrideThrows) {
   Param param;
   param.bound_space = false;
   setenv("BIOSIM_SIMD", "avx512", 1);
-  EXPECT_THROW(RunPath(rm, param, Path::kSimd), std::invalid_argument);
-  // The scalar paths never consult the override; a bad value must not
-  // break them.
-  EXPECT_NO_THROW(RunPath(rm, param, Path::kFused));
+  EXPECT_THROW(RunPath(rm, param, Path::kFused), std::invalid_argument);
+  EXPECT_THROW(RunPath(rm, param, Path::kFp32), std::invalid_argument);
+  // The generic callback pass never consults the override; a bad value
+  // must not break it.
+  EXPECT_NO_THROW(RunPath(rm, param, Path::kGeneric));
 }
 
 TEST_F(SimdForceDiffTest, VectorModesRequireTheUniformGrid) {
   ResourceManager rm;
   AddAgent(&rm, {50, 50, 50}, 8.0);
   Param param;
-  param.cpu_simd = true;
+  param.precision = Precision::kFp32;
   KdTreeEnvironment kd;
   kd.Update(rm, param, ExecMode::kSerial);
   MechanicalForcesOp op;
   EXPECT_THROW(op.ComputeDisplacements(rm, kd, param, ExecMode::kSerial),
                std::invalid_argument);
-  param.cpu_simd = false;
-  param.precision = Precision::kFp32;
-  EXPECT_THROW(op.ComputeDisplacements(rm, kd, param, ExecMode::kSerial),
-               std::invalid_argument);
-  // The scalar FP64 request falls back to the generic path silently — that
-  // contract predates the vector modes and must not change.
+  // The FP64 request falls back to the generic path silently — that
+  // contract predates the fused kernel and must not change.
   param.precision = Precision::kFp64;
   EXPECT_NO_THROW(op.ComputeDisplacements(rm, kd, param, ExecMode::kSerial));
   EXPECT_FALSE(op.last_used_fast_path());
 }
 
 TEST_F(SimdForceDiffTest, ReusedOpOnShrinkingPopulationMatchesFreshOp) {
-  // Stale-scratch regression: the kernels' gather buffers are
+  // Stale-scratch regression: the kernel's gather buffers are
   // capacity-managed and deliberately uninitialized
   // (core/aligned_buffer.h), so a second pass over a *smaller*
   // population re-reads scratch that still holds the first population's
@@ -350,10 +466,9 @@ TEST_F(SimdForceDiffTest, ReusedOpOnShrinkingPopulationMatchesFreshOp) {
   ResourceManager small;
   FillClusteredBall(&small, 200, 62);
 
-  for (Path path : {Path::kFused, Path::kSimd, Path::kFp32}) {
+  for (Path path : {Path::kFused, Path::kFp32}) {
     UniformGridEnvironment env;
     Param p = param;
-    p.cpu_simd = path == Path::kSimd || path == Path::kFp32;
     p.precision = path == Path::kFp32 ? Precision::kFp32 : Precision::kFp64;
 
     MechanicalForcesOp reused;
@@ -365,7 +480,9 @@ TEST_F(SimdForceDiffTest, ReusedOpOnShrinkingPopulationMatchesFreshOp) {
     MechanicalForcesOp fresh;
     fresh.ComputeDisplacements(small, env, p, ExecMode::kSerial);
 
-    EXPECT_EQ(reused.displacements(), fresh.displacements())
+    EXPECT_EQ(FirstBitDifference(reused.displacements(),
+                                 fresh.displacements()),
+              -1)
         << "path " << static_cast<int>(path);
     EXPECT_EQ(reused.last_force_evaluations(),
               fresh.last_force_evaluations());

@@ -1,8 +1,8 @@
 // biosim_run: config-driven simulation runner.
 //
 //   biosim_run [config.ini] [--steps N] [--backend cpu|gpu] [--threads N]
-//              [--simd BOOL] [--precision fp64|fp32] [--zorder-every N]
-//              [--shards N] [--shard-balance static|adaptive] [--print-config]
+//              [--precision fp64|fp32] [--zorder-every N] [--shards N]
+//              [--shard-balance static|adaptive] [--print-config]
 //              [--sanitize] [--trace FILE] [--metrics FILE]
 //              [--metrics-every N] [--report FILE] [--json]
 //              [--perf-counters] [--flight-recorder FILE]
@@ -11,8 +11,8 @@
 //
 // See src/app/config.h for the config format; examples/configs/ ships
 // ready-to-run files. Every value flag also accepts --flag=value, and takes
-// exactly the values its config key takes (BOOL: true/false, 1/0, yes/no,
-// on/off); a malformed value is an error, never a silent default. Without a
+// exactly the values its config key takes; a malformed value is an error,
+// never a silent default. Without a
 // config file the built-in defaults run (a small cell-division model).
 //
 // The BIOSIM_THREADS environment variable overrides the worker thread count
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: %s [config.ini] [--steps N] [--backend cpu|gpu] "
-                 "[--threads N] [--simd BOOL] "
+                 "[--threads N] "
                  "[--precision fp64|fp32] [--zorder-every N] "
                  "[--shards N] [--shard-balance static|adaptive] "
                  "[--print-config] [--sanitize] [--trace FILE] "
@@ -150,8 +150,6 @@ int main(int argc, char** argv) {
         cfg.backend_type = value;
       } else if (FlagValue(argc, argv, &i, "--threads", &value)) {
         cfg.num_threads = Checked(flag, value, ToU32);
-      } else if (FlagValue(argc, argv, &i, "--simd", &value)) {
-        cfg.simd = Checked(flag, value, ToBool);
       } else if (FlagValue(argc, argv, &i, "--precision", &value)) {
         cfg.precision = value;
       } else if (FlagValue(argc, argv, &i, "--zorder-every", &value)) {
