@@ -9,12 +9,13 @@
 //   lattice8  cube edge doubled: 8x the grid boxes
 // with each run's wall time and its grid + mechanics time (the
 // "neighborhood update" and "mechanical forces" ops), each the best of
-// kRepeats runs taken in turns, so a slow phase of a shared host hits both
-// alike rather than one of them. `lattice8_ratio` is lattice8's grid +
-// mechanics time over full's: the compacted grid costs O(agents + occupied
-// boxes), so it stays near 1. Every repeat of a run owes its first run's
-// final StateHash; the run exits 2 otherwise, so the CI perf job doubles
-// as a correctness gate. `--agents N` / `--steps N` resize the scenario
+// kPairs runs taken in interleaved full/lattice8 pairs. `lattice8_ratio` is
+// the median over the pairs of lattice8's grid + mechanics time over full's
+// in the same pair: a slow phase of a shared host hits both runs of a pair
+// alike, and the median drops the pairs it splits. The compacted grid costs
+// O(agents + occupied boxes), so the ratio stays near 1. Every repeat of a
+// run owes its first run's final StateHash; the run exits 2 otherwise, so
+// the CI perf job doubles as a correctness gate. `--agents N` / `--steps N` resize the scenario
 // (defaults: 32768 agents, 30 timed steps).
 #include <benchmark/benchmark.h>
 
@@ -52,7 +53,7 @@ constexpr double kWalkSpeed = 60.0;
 constexpr double kSecretionRate = 0.5;
 constexpr size_t kSecretionStride = 16;
 constexpr uint64_t kWarmupSteps = 2;
-constexpr int kRepeats = 5;
+constexpr int kPairs = 9;
 
 std::unique_ptr<Simulation> BuildSteady(size_t agents, double edge = kEdge) {
   Param param;
@@ -157,19 +158,27 @@ bool KeepBest(SteadyResult* best, const SteadyResult& r) {
   return r.final_hash == best->final_hash;
 }
 
+/// lattice8's grid + mechanics time over full's, within one pair.
+double PairRatio(const SteadyResult& full, const SteadyResult& lattice8) {
+  return full.grid_mechanics_ms > 0.0
+             ? lattice8.grid_mechanics_ms / full.grid_mechanics_ms
+             : 0.0;
+}
+
 int WriteBenchJson(const std::string& path, size_t agents, uint64_t steps) {
   SteadyResult full = RunSteady(agents, steps);
   SteadyResult lattice8 = RunSteady(agents, steps, 2.0 * kEdge);
+  std::vector<double> ratios{PairRatio(full, lattice8)};
   bool hash_parity = true;
-  for (int rep = 1; rep < kRepeats; ++rep) {
-    hash_parity &= KeepBest(&full, RunSteady(agents, steps));
-    hash_parity &= KeepBest(&lattice8, RunSteady(agents, steps, 2.0 * kEdge));
+  for (int pair = 1; pair < kPairs; ++pair) {
+    const SteadyResult f = RunSteady(agents, steps);
+    const SteadyResult l = RunSteady(agents, steps, 2.0 * kEdge);
+    ratios.push_back(PairRatio(f, l));
+    hash_parity &= KeepBest(&full, f);
+    hash_parity &= KeepBest(&lattice8, l);
   }
-
-  const double lattice8_ratio =
-      full.grid_mechanics_ms > 0.0
-          ? lattice8.grid_mechanics_ms / full.grid_mechanics_ms
-          : 0.0;
+  std::sort(ratios.begin(), ratios.end());
+  const double lattice8_ratio = ratios[ratios.size() / 2];
 
   json::Value doc = biosim::obs::MakeRunReport("bench_micro_steady");
   doc.Set("bench", "bench_micro_steady");

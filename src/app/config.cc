@@ -130,9 +130,6 @@ void RunConfig::Validate() const {
     fail("sanitize requires backend type gpu (the sanitizer observes the "
          "simulated device)");
   }
-  if (parallel_blocks && backend_type != "gpu") {
-    fail("parallel_blocks requires backend type gpu");
-  }
   if (racy_grid_build && backend_type != "gpu") {
     fail("racy_grid_build requires backend type gpu (it swaps a device "
          "kernel)");
@@ -248,10 +245,6 @@ RunConfig ParseConfigString(const std::string& text) {
       {"meter_stride",
        [&](const std::string& v) {
          cfg.meter_stride = static_cast<int>(ToU64(v));
-       }},
-      {"parallel_blocks",
-       [&](const std::string& v) {
-         cfg.parallel_blocks = ToBool(v);
        }},
       {"sanitize",
        [&](const std::string& v) { cfg.sanitize = ToBool(v); }},

@@ -6,7 +6,8 @@
 //   max_bound = 1000
 //   timestep = 0.01
 //   boundary = clamp              ; clamp | torus | open
-//   threads = 0                   ; CPU workers; 0 = hardware concurrency
+//   threads = 0                   ; host workers (CPU pipeline and gpusim
+//                                 ; blocks); 0 = hardware concurrency
 //   precision = fp64              ; fp64 | fp32 force-kernel pair math
 //   zorder_every = 0              ; re-sort agents into Z-order every N steps
 //   shards = 0                    ; spatial domain shards (docs/sharding.md); 0=off
@@ -29,8 +30,7 @@
 //   type = cpu                    ; cpu | gpu
 //   gpu_version = 2               ; 0..4
 //   gpu_device = 1080ti           ; 1080ti | v100
-//   meter_stride = 8
-//   parallel_blocks = false       ; host-parallel block execution (exact)
+//   meter_stride = 8              ; meter every 8th warp (1 = exact)
 //   sanitize = false              ; GPU sanitizer (racecheck/memcheck/synccheck)
 //   racy_grid_build = false       ; diagnostic: seed a known racy kernel
 //
@@ -110,11 +110,10 @@ struct RunConfig {
   std::string backend_type = "cpu";
   int gpu_version = 2;
   std::string gpu_device = "1080ti";
+  /// Warp-sampling stride of the simulated device's counters (1 = exact).
+  /// The blocks of independent kernels run on the `threads` workers
+  /// whatever the stride; the counters do not depend on the worker count.
   int meter_stride = 8;
-  /// Execute the blocks of block-independent kernels in parallel on the
-  /// host; counters stay byte-identical to the serial engine (see
-  /// GpuMechanicsOptions::parallel_blocks).
-  bool parallel_blocks = false;
   /// Run every GPU launch under the compute-sanitizer-style analysis layer
   /// (gpusim/sanitizer.h); biosim_run exits non-zero if hazards are found.
   bool sanitize = false;

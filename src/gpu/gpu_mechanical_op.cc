@@ -37,7 +37,6 @@ GpuMechanicalOp::GpuMechanicalOp(GpuMechanicsOptions options)
         "persistent_device_state is incompatible with per-step zorder_sort");
   }
   device().SetMeterStride(options_.meter_stride);
-  device().SetBlockParallel(options_.parallel_blocks);
   if (options_.sanitize) {
     // Before any Alloc so every buffer gets full memcheck shadow coverage.
     device().EnableSanitizer();

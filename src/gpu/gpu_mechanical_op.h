@@ -22,7 +22,10 @@
 //
 // Timing: all device work (kernels + transfers + the sort) accrues on the
 // *simulated* clock (device().ElapsedMs()); see EXPERIMENTS.md for how the
-// harness reports it.
+// harness reports it. Host execution: launches flagged block_parallel_safe
+// run their blocks on the host workers (gpusim::Device::Launch), the rest
+// block-sequentially; the counters, and so the simulated clock, are the
+// same at any worker count.
 #ifndef BIOSIM_GPU_GPU_MECHANICAL_OP_H_
 #define BIOSIM_GPU_GPU_MECHANICAL_OP_H_
 
@@ -61,13 +64,6 @@ struct GpuMechanicsOptions {
   size_t block_dim = 128;
   /// Warp-sampling stride for the performance counters (1 = exact).
   int meter_stride = 1;
-  /// Execute the blocks of block-independent kernels in parallel on the
-  /// host (core/thread_pool.h), with per-block counter shards and access
-  /// streams merged deterministically in block order — counters stay
-  /// byte-identical to the serial mode at any worker count (including 1).
-  /// Kernels that communicate across blocks (ug_build's atomicExch list
-  /// push, the radix-sort passes) always run serially. Off by default.
-  bool parallel_blocks = false;
   /// Attach the compute-sanitizer-style analysis layer (gpusim/sanitizer.h)
   /// to the device: every launch is checked for races, out-of-bounds /
   /// never-written accesses and barrier divergence. Hazards accumulate in

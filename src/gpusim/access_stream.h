@@ -89,18 +89,19 @@ class WarpAccessStream {
   size_t used_rows_[kKinds] = {};
 };
 
-/// Deferred metering output of a contiguous block range (the block-parallel
-/// execution mode). Blocks coalesce their warp streams in parallel — the
-/// integer counters land in `stats`, which is order-independent (pure sums
-/// and maxes) — while the order-*dependent* part, the L1/L2 probes, is
-/// buffered as packed line transactions and replayed through the shared
-/// cache hierarchy strictly in block order. That replay rule is what keeps
-/// the parallel mode byte-identical to serial execution at any worker
-/// count.
+/// Deferred metering output of one chunk (a contiguous block range) of a
+/// launch that runs on several chunks (Device::Launch). Blocks coalesce
+/// their warp streams in parallel — the integer counters land in `stats`,
+/// which is order-independent (pure sums and maxes) — while the order-
+/// *dependent* part, the L1/L2 probes, is buffered as packed line
+/// transactions and replayed through the shared cache hierarchy strictly in
+/// block order. That replay rule is what keeps the counters byte-identical
+/// at any worker count.
 struct MeterBuffer {
-  /// (line_index << 1) | is_write, in the exact order the serial engine
-  /// would have probed the caches.
-  std::vector<uint64_t> line_entries;
+  /// (line_index << 1) | is_write, in the exact order a one-chunk run
+  /// would have probed the caches. Global addresses stay below the device's
+  /// DRAM size plus 1 MiB, so line indices fit in 31 bits.
+  std::vector<uint32_t> line_entries;
   /// Counter-only shard: integer counters accumulated by this block range
   /// (timing fields stay zero; the launch fills them after the merge).
   KernelStats stats;

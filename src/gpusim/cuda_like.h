@@ -43,7 +43,7 @@ class Runtime {
 
   /// kernel<<<grid_dim, block_dim>>>(...) analog. `block_parallel_safe`
   /// asserts the kernel's blocks are independent (see LaunchConfig) so the
-  /// device may execute them concurrently in block-parallel mode.
+  /// device executes them concurrently on the host workers.
   KernelStats LaunchKernel(const std::string& name, size_t grid_dim,
                            size_t block_dim,
                            const std::function<void(BlockCtx&)>& kernel,

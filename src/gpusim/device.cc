@@ -15,14 +15,15 @@ void WarpTracker::ConsumeGroup(MemoryModel* mem, KernelStats* stats,
         mem->Coalesce(addrs, bytes, n, write, stats);
     mem->ProbeLines(lines.data(), lines.size(), write, stats);
   } else {
-    // Deferred (block-parallel) path: chunks run concurrently against one
-    // MemoryModel, so coalesce into the shard's own scratch — the member
-    // scratch inside Coalesce() is shared state.
+    // Deferred path: chunks run concurrently against one MemoryModel, so
+    // coalesce into the chunk's own scratch — the member scratch inside
+    // Coalesce() is shared state.
     mem->CoalesceInto(&defer->coalesce_scratch, addrs, bytes, n, write,
                       stats);
     for (uint64_t line : defer->coalesce_scratch) {
-      defer->line_entries.push_back((line << 1) |
-                                    static_cast<uint64_t>(write));
+      assert(line < (uint64_t{1} << 31));
+      defer->line_entries.push_back(static_cast<uint32_t>(
+          (line << 1) | static_cast<uint64_t>(write)));
     }
   }
 }
@@ -89,6 +90,23 @@ void WarpTracker::Flush(MemoryModel* mem, KernelStats* stats,
   stats->max_lane_mem_ops = std::max(stats->max_lane_mem_ops, max_mem);
 }
 
+namespace {
+
+/// Blocks each chunk runs per wave of a multi-chunk launch. A wave's lines
+/// replay before the next wave starts, so this bounds the line buffers (a
+/// whole launch of the interaction kernel buffers megabytes); every wave is
+/// one fork and join of the workers, which a shared host makes costly.
+constexpr size_t kBlocksPerChunk = 8;
+
+/// A contiguous run of blocks: the warp tracker its blocks reuse and, on a
+/// multi-chunk launch, its deferred metering output.
+struct Chunk {
+  WarpTracker warps;
+  MeterBuffer meter;
+};
+
+}  // namespace
+
 KernelStats Device::Launch(const LaunchConfig& cfg,
                            const std::function<void(BlockCtx&)>& kernel) {
   KernelStats raw;
@@ -103,29 +121,55 @@ KernelStats Device::Launch(const LaunchConfig& cfg,
   if (sanitizer_) {
     sanitizer_->BeginLaunch(cfg.name, cfg.grid_dim, cfg.block_dim);
   }
-  // The block-parallel engine requires independent blocks (the kernel's
-  // contract via block_parallel_safe) and whole-launch metering state that
-  // shards cleanly: the sanitizer's race detector and the warp-sampling
-  // counter are both stateful across blocks, so those launches stay on the
-  // block-sequential engine.
-  const bool parallel = block_parallel_ && cfg.block_parallel_safe &&
-                        sanitizer_ == nullptr && stride_ == 1 &&
-                        cfg.grid_dim > 1;
-  if (parallel) {
-    LaunchBlocksParallel(cfg, kernel, &raw);
-  } else {
-    size_t warp_counter = 0;
-    for (size_t b = 0; b < cfg.grid_dim; ++b) {
-      BlockCtx ctx(b, cfg.block_dim, cfg.grid_dim, &spec_, &mem_, &raw,
-                   &warp_counter, stride_, sanitizer_.get());
-      if (sanitizer_) {
-        sanitizer_->BeginBlock(b);
+  // One chunk runs the whole launch in block order and probes the caches
+  // directly; see Launch's contract in device.h for when that is.
+  size_t n_chunks = 1;
+  if (sanitizer_ == nullptr && cfg.block_parallel_safe) {
+    n_chunks = std::min<size_t>(
+        HardwareThreads(),
+        (cfg.grid_dim + kBlocksPerChunk - 1) / kBlocksPerChunk);
+  }
+  const bool deferred = n_chunks > 1;
+  const size_t blocks_per_chunk = deferred ? kBlocksPerChunk : cfg.grid_dim;
+  const size_t wave_blocks = n_chunks * blocks_per_chunk;
+  std::vector<Chunk> chunks(n_chunks);
+  for (size_t wave = 0; wave < cfg.grid_dim; wave += wave_blocks) {
+    ParallelFor(deferred ? ExecMode::kParallel : ExecMode::kSerial, n_chunks,
+                [&](size_t c) {
+      Chunk& chunk = chunks[c];
+      MeterBuffer* defer = deferred ? &chunk.meter : nullptr;
+      KernelStats* stats = deferred ? &chunk.meter.stats : &raw;
+      const size_t begin =
+          std::min(cfg.grid_dim, wave + c * blocks_per_chunk);
+      const size_t end = std::min(cfg.grid_dim, begin + blocks_per_chunk);
+      for (size_t b = begin; b < end; ++b) {
+        BlockCtx ctx(b, cfg.block_dim, cfg.grid_dim, &spec_, &mem_, stats,
+                     stride_, sanitizer_.get(), &chunk.warps, defer);
+        if (sanitizer_) {
+          sanitizer_->BeginBlock(b);
+        }
+        kernel(ctx);
+        if (sanitizer_) {
+          sanitizer_->EndBlock(b, ctx.phases_run_, ctx.shared_used_,
+                               ctx.arena_.size());
+        }
       }
-      kernel(ctx);
-      if (sanitizer_) {
-        sanitizer_->EndBlock(b, ctx.phases_run_, ctx.shared_used_,
-                             ctx.arena_.size());
+    });
+    if (!deferred) {
+      continue;
+    }
+    // The caches are the only metering state shared across blocks, so the
+    // wave's lines replay through L1/L2 in block order (chunks are
+    // contiguous: chunk order is block order). The chunks' other counters
+    // are order-independent sums (and one max), folded in chunk order.
+    for (Chunk& chunk : chunks) {
+      for (uint32_t entry : chunk.meter.line_entries) {
+        const uint64_t line = entry >> 1;
+        mem_.ProbeLines(&line, 1, /*write=*/(entry & 1) != 0, &raw);
       }
+      raw.Accumulate(chunk.meter.stats);
+      chunk.meter.line_entries.clear();
+      chunk.meter.stats = KernelStats{};
     }
   }
 
@@ -160,43 +204,6 @@ KernelStats Device::Launch(const LaunchConfig& cfg,
   kernel_ms_ += raw.total_ms;
   history_.push_back(raw);
   return raw;
-}
-
-void Device::LaunchBlocksParallel(
-    const LaunchConfig& cfg, const std::function<void(BlockCtx&)>& kernel,
-    KernelStats* raw) {
-  // Contiguous block chunks, one shard each. The chunk count only sets the
-  // parallel grain — the merge below is chunk-count-invariant, so any
-  // worker count (including 1) produces the same counters.
-  const size_t workers = std::max<size_t>(1, HardwareThreads());
-  const size_t n_chunks = std::min(cfg.grid_dim, workers);
-  const size_t chunk = (cfg.grid_dim + n_chunks - 1) / n_chunks;
-  std::vector<MeterBuffer> shards(n_chunks);
-  ParallelFor(ExecMode::kParallel, n_chunks, [&](size_t c) {
-    MeterBuffer& shard = shards[c];
-    const size_t begin = c * chunk;
-    const size_t end = std::min(cfg.grid_dim, begin + chunk);
-    size_t warp_counter = 0;  // stride is 1 on this path: every warp meters
-    for (size_t b = begin; b < end; ++b) {
-      BlockCtx ctx(b, cfg.block_dim, cfg.grid_dim, &spec_, &mem_,
-                   &shard.stats, &warp_counter, /*stride=*/1,
-                   /*san=*/nullptr, &shard);
-      kernel(ctx);
-    }
-  });
-  // Deterministic merge. The caches are the only cross-block metering
-  // state, so the buffered line transactions replay through L1/L2 strictly
-  // in block order (chunks are contiguous ranges: shard order IS block
-  // order) — the exact probe sequence the block-sequential engine would
-  // have issued. The shards' remaining counters are order-independent sums
-  // (and one max), folded in chunk order.
-  for (MeterBuffer& shard : shards) {
-    for (uint64_t entry : shard.line_entries) {
-      const uint64_t line = entry >> 1;
-      mem_.ProbeLines(&line, 1, /*write=*/(entry & 1) != 0, raw);
-    }
-    raw->Accumulate(shard.stats);
-  }
 }
 
 KernelStats Device::AddModeledKernel(const std::string& name,

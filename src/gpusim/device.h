@@ -8,12 +8,14 @@
 // and the analytic model (timing.h) converts the counters into kernel time
 // for the configured DeviceSpec.
 //
-// Execution model: blocks run sequentially (deterministically); within a
-// block, lanes of a warp run the body one after another but are *accounted*
-// as lockstep SIMT — the i-th global access of each lane in a warp forms one
-// memory instruction for coalescing, and per-lane op imbalance is charged as
-// divergence. Barrier semantics use the standard loop-fission translation:
-// one for_each_lane() region is the code between two __syncthreads().
+// Execution model: blocks of independent launches run concurrently on the
+// host workers, everything else in block order, and the counters are the
+// same either way (Device::Launch). Within a block, lanes of a warp run the
+// body one after another but are *accounted* as lockstep SIMT — the i-th
+// global access of each lane in a warp forms one memory instruction for
+// coalescing, and per-lane op imbalance is charged as divergence. Barrier
+// semantics use the standard loop-fission translation: one for_each_lane()
+// region is the code between two __syncthreads().
 //
 //   dev.Launch({"my_kernel", blocks, 256}, [&](BlockCtx& blk) {
 //     auto cache = blk.shared<float>(256);                 // __shared__
@@ -124,12 +126,11 @@ class WarpTracker {
   void AddLaneMemOp(size_t warp_lane) { lane_mem_ops_[warp_lane] += 1; }
 
   /// Consume this warp's access stream: coalesce every instruction group
-  /// and either probe the caches immediately (defer == nullptr, the serial
-  /// engine) or buffer the line transactions into `defer` for an in-block-
-  /// order replay (the block-parallel engine). Divergence and atomic
+  /// and either probe the caches immediately (defer == nullptr, a launch on
+  /// one chunk) or buffer the line transactions into `defer` for an in-
+  /// block-order replay (a launch on several chunks). Divergence and atomic
   /// accounting land in `stats` either way.
-  void Flush(MemoryModel* mem, KernelStats* stats,
-             MeterBuffer* defer = nullptr);
+  void Flush(MemoryModel* mem, KernelStats* stats, MeterBuffer* defer);
 
  private:
   /// Feed one coalesced instruction group to the caches or the buffer.
@@ -457,17 +458,22 @@ class BlockCtx {
       san_->BeginPhase();
     }
     size_t phase = phases_run_++;
-    for (size_t w0 = 0; w0 < block_dim_; w0 += 32) {
+    // Warp sampling is block-local: the warp's index in a (phase, block,
+    // warp) numbering of the launch picks it, so no block needs to know
+    // how many warps the blocks before it ran. For one-phase kernels this
+    // is the launch-wide running warp count.
+    const size_t warps_per_block = (block_dim_ + 31) / 32;
+    size_t warp_index = (phase * grid_dim_ + block_) * warps_per_block;
+    for (size_t w0 = 0; w0 < block_dim_; w0 += 32, ++warp_index) {
       size_t lanes = std::min<size_t>(32, block_dim_ - w0);
-      bool metered = (warp_counter_++ % static_cast<size_t>(stride_)) == 0;
-      wt_.Reset(metered, lanes);
+      wt_->Reset(warp_index % stride_ == 0, lanes);
       for (size_t l = 0; l < lanes; ++l) {
-        Lane t(w0 + l, block_, block_dim_, grid_dim_, &wt_, raw_, san_,
+        Lane t(w0 + l, block_, block_dim_, grid_dim_, wt_, raw_, san_,
                phase);
         body(t);
         t.CommitFlops();
       }
-      wt_.Flush(mem_, raw_, defer_);
+      wt_->Flush(mem_, raw_, defer_);
     }
   }
 
@@ -477,32 +483,26 @@ class BlockCtx {
 
   BlockCtx(size_t block, size_t block_dim, size_t grid_dim,
            const DeviceSpec* spec, MemoryModel* mem, KernelStats* raw,
-           size_t* warp_counter, int stride, Sanitizer* san,
-           MeterBuffer* defer = nullptr)
+           int stride, Sanitizer* san, WarpTracker* wt, MeterBuffer* defer)
       : block_(block),
         block_dim_(block_dim),
         grid_dim_(grid_dim),
         spec_(spec),
         mem_(mem),
         raw_(raw),
-        warp_counter_(*warp_counter),
-        stride_(stride),
-        warp_counter_ref_(warp_counter),
+        stride_(static_cast<size_t>(stride)),
         san_(san),
+        wt_(wt),
         defer_(defer) {}
-
-  ~BlockCtx() { *warp_counter_ref_ = warp_counter_; }
 
   size_t block_, block_dim_, grid_dim_;
   const DeviceSpec* spec_;
   MemoryModel* mem_;
   KernelStats* raw_;
-  size_t warp_counter_;
-  int stride_;
-  size_t* warp_counter_ref_;
+  size_t stride_;
   Sanitizer* san_;
-  MeterBuffer* defer_;  // non-null only on the block-parallel path
-  WarpTracker wt_;
+  WarpTracker* wt_;     // owned by the chunk; reused across its blocks
+  MeterBuffer* defer_;  // non-null only on a launch that runs on chunks
   size_t shared_used_ = 0;
   size_t phases_run_ = 0;  // barrier intervals executed (synccheck input)
   std::vector<std::unique_ptr<char[]>> arena_;
@@ -514,10 +514,10 @@ struct LaunchConfig {
   size_t grid_dim = 1;   // blocks
   size_t block_dim = 1;  // threads per block
   /// Kernel contract: blocks neither communicate nor overlap writes through
-  /// global memory, so the device may execute them concurrently when block-
-  /// parallel mode is on (Device::SetBlockParallel). Kernels with cross-
-  /// block coupling — ug_build's atomicExch linked-list push, the radix-
-  /// sort passes — must leave this false and always run block-sequentially.
+  /// global memory, so the device executes them concurrently (Device::
+  /// Launch). Kernels with cross-block coupling — ug_build's atomicExch
+  /// linked-list push, the radix-sort passes — must leave this false and
+  /// run block-sequentially.
   bool block_parallel_safe = false;
 };
 
@@ -531,29 +531,15 @@ class Device {
   const DeviceSpec& spec() const { return spec_; }
 
   /// Warp-sampling stride: 1 = meter every warp (exact), k = meter every
-  /// k-th warp and scale (the L2 capacity seen by the sampled stream is
-  /// scaled down by k so hit rates stay representative). Call before any
-  /// Launch.
+  /// k-th warp of the (phase, block, warp) numbering and scale (the L2
+  /// capacity seen by the sampled stream is scaled down by k so hit rates
+  /// stay representative). Call before any Launch.
   void SetMeterStride(int stride) {
     assert(stride >= 1);
     stride_ = stride;
     mem_ = MemoryModel(SampledSpec(spec_, stride));
   }
   int meter_stride() const { return stride_; }
-
-  /// Block-parallel execution: run the blocks of launches flagged
-  /// block_parallel_safe concurrently on the host thread pool
-  /// (core/thread_pool.h). Metering stays *byte-identical* to the
-  /// block-sequential engine at any worker count: blocks are partitioned
-  /// into contiguous chunks, each chunk accumulates the order-independent
-  /// integer counters into a private shard and buffers its coalesced line
-  /// transactions, and the launch then replays the transactions through the
-  /// shared L1/L2 strictly in block order before folding the shards in
-  /// chunk order. Launches that attach a sanitizer or sample warps
-  /// (meter_stride > 1) fall back to the sequential engine — both are
-  /// stateful across blocks in ways a shard cannot capture.
-  void SetBlockParallel(bool on) { block_parallel_ = on; }
-  bool block_parallel() const { return block_parallel_; }
 
   /// Attach the compute-sanitizer-style analysis layer (sanitizer.h). Every
   /// subsequent Launch is checked; hazards accumulate in
@@ -611,6 +597,17 @@ class Device {
 
   /// Execute a kernel and return its stats (also appended to the profile
   /// and the simulated clock).
+  ///
+  /// A launch runs in block order on one chunk when a sanitizer is attached
+  /// (its race detector is stateful across blocks), when the kernel is not
+  /// block_parallel_safe, or when it has too few blocks to split. Every
+  /// other launch runs in waves of contiguous chunks, one per host worker
+  /// (core/thread_pool.h). Each chunk buffers its coalesced line
+  /// transactions and its order-independent counters; after each wave the
+  /// lines replay through the shared L1/L2 strictly in block order — the
+  /// probe sequence of a one-chunk run — before the next wave starts. The
+  /// counters are byte-identical at any worker count: metering observes the
+  /// order of execution and never sets it.
   KernelStats Launch(const LaunchConfig& cfg,
                      const std::function<void(BlockCtx&)>& kernel);
 
@@ -638,11 +635,6 @@ class Device {
   const std::vector<KernelStats>& history() const { return history_; }
 
  private:
-  /// Block-parallel engine behind Launch (device.cc).
-  void LaunchBlocksParallel(const LaunchConfig& cfg,
-                            const std::function<void(BlockCtx&)>& kernel,
-                            KernelStats* raw);
-
   static DeviceSpec SampledSpec(const DeviceSpec& spec, int stride) {
     DeviceSpec s = spec;
     s.l2_capacity_bytes =
@@ -658,7 +650,6 @@ class Device {
   MemoryModel mem_;
   std::unique_ptr<Sanitizer> sanitizer_;
   int stride_ = 1;
-  bool block_parallel_ = false;
   uint64_t next_addr_ = 1ull << 20;
   uint64_t allocated_bytes_ = 0;
   TransferStats transfers_;

@@ -54,7 +54,7 @@ class MemoryModel {
   /// bytes and transaction count. Returns the line indices (a reference to
   /// internal scratch — valid until the next Coalesce call). The caller
   /// either probes them immediately (ProbeLines) or buffers them for an
-  /// in-order replay (the block-parallel mode).
+  /// in-order replay (a launch on several chunks).
   const std::vector<uint64_t>& Coalesce(const LaneAccess* accesses, size_t n,
                                         bool write, KernelStats* stats) {
     CoalesceImpl(
@@ -74,8 +74,8 @@ class MemoryModel {
   /// Coalesce into caller-owned scratch. The coalescer is pure apart from
   /// its output vector, so threads sharing one MemoryModel may run it
   /// concurrently as long as each brings its own scratch — the
-  /// block-parallel shards do (MeterBuffer::coalesce_scratch). The member
-  /// scratch stays reserved for the serial path.
+  /// chunks of a launch do (MeterBuffer::coalesce_scratch). The member
+  /// scratch stays reserved for one-chunk launches.
   void CoalesceInto(std::vector<uint64_t>* out, const uint64_t* addrs,
                     const uint32_t* bytes, size_t n, bool write,
                     KernelStats* stats) const {

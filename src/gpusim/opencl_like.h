@@ -40,8 +40,8 @@ class CommandQueue {
   /// of `local_size`. global_size is rounded up to a multiple of local_size
   /// (as required by OpenCL <2.0); kernels guard the tail themselves.
   /// `block_parallel_safe` asserts the work-groups are independent (see
-  /// LaunchConfig) so the device may execute them concurrently in
-  /// block-parallel mode.
+  /// LaunchConfig) so the device executes them concurrently on the host
+  /// workers.
   KernelStats EnqueueNDRangeKernel(
       const std::string& name, size_t global_size, size_t local_size,
       const std::function<void(BlockCtx&)>& kernel,

@@ -129,17 +129,22 @@ TEST(ConfigTest, SanitizeFlagParsesAndRequiresGpu) {
 
 TEST(ConfigTest, ParallelBlocksAndRacyGridBuildParseAndRequireGpu) {
   RunConfig cfg = ParseConfigString(
-      "[backend]\ntype = gpu\nparallel_blocks = true\n"
-      "racy_grid_build = true\n");
-  EXPECT_TRUE(cfg.parallel_blocks);
+      "[backend]\ntype = gpu\nracy_grid_build = true\n");
   EXPECT_TRUE(cfg.racy_grid_build);
-  EXPECT_FALSE(ParseConfigString("[backend]\ntype = gpu\n").parallel_blocks);
   EXPECT_FALSE(ParseConfigString("[backend]\ntype = gpu\n").racy_grid_build);
-  // Both knobs configure the simulated device: CPU runs reject them.
-  EXPECT_THROW(ParseConfigString("[backend]\nparallel_blocks = true\n"),
-               std::invalid_argument);
+  // The knob configures the simulated device: CPU runs reject it.
   EXPECT_THROW(ParseConfigString("[backend]\nracy_grid_build = true\n"),
                std::invalid_argument);
+  // The device runs every independent launch block-parallel, so the old
+  // opt-in switch is not a config key (an unknown key is a syntax error,
+  // not a no-op).
+  for (const char* value : {"true", "false"}) {
+    EXPECT_THROW(ParseConfigString(
+                     std::string("[backend]\ntype = gpu\nparallel_blocks = ") +
+                     value + "\n"),
+                 std::runtime_error)
+        << value;
+  }
 }
 
 TEST(ConfigTest, SimdAndPrecisionKeysParseAndValidate) {

@@ -8,7 +8,8 @@
 // simulation, warp accounting) must reproduce these numbers *byte-
 // identically*. The goldens in golden_counters.json were recorded before
 // the batched access-stream refactor and assert that the refactor (and any
-// future one) is counter-exact.
+// future one) is counter-exact. The same bytes must come out at 1, 2 and 4
+// host workers: the device runs independent launches block-parallel.
 //
 // Updating the goldens (only when the *model* intentionally changes — never
 // to paper over an accidental diff):
@@ -29,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "core/thread_pool.h"
 #include "gpu/gpu_mechanical_op.h"
 #include "gpusim/profiler.h"
 #include "spatial/null_environment.h"
@@ -84,9 +86,9 @@ CounterMap Counters(const gpusim::AggregatedKernel& k) {
 
 /// One step of the version-v pipeline on the fixed-seed 4k-agent workload
 /// (16^3 jittered lattice, shuffled into the aged-population layout), with
-/// exact metering. Returns every launched kernel's aggregated counters plus
-/// the host<->device transfer totals.
-KernelMap RunVersion(int v, bool parallel_blocks) {
+/// exact metering unless `stride` says otherwise. Returns every launched
+/// kernel's aggregated counters plus the host<->device transfer totals.
+KernelMap RunVersion(int v, int stride = 1) {
   ResourceManager rm;
   testutil::FillLatticeCells(&rm, 16, 10.0, 10.0, /*jitter=*/1.5,
                              /*seed=*/42);
@@ -94,8 +96,7 @@ KernelMap RunVersion(int v, bool parallel_blocks) {
 
   Param param;
   GpuMechanicsOptions opts = GpuMechanicsOptions::Version(v, GoldenSpec());
-  opts.meter_stride = 1;
-  opts.parallel_blocks = parallel_blocks;
+  opts.meter_stride = stride;
   GpuMechanicalOp op(opts);
   NullEnvironment env;
   env.Update(rm, param, ExecMode::kSerial);
@@ -116,11 +117,17 @@ KernelMap RunVersion(int v, bool parallel_blocks) {
   return out;
 }
 
-GoldenMap RunAllVersions(bool parallel_blocks) {
+/// Versions 0..versions-1 on `workers` host workers: the device runs the
+/// blocks of independent launches on that many chunks per wave.
+GoldenMap RunAllVersions(uint32_t workers, int stride = 1,
+                         int versions = kVersions) {
+  const uint32_t restore = HardwareThreads();
+  SetNumThreads(workers);
   GoldenMap all;
-  for (int v = 0; v < kVersions; ++v) {
-    all["v" + std::to_string(v)] = RunVersion(v, parallel_blocks);
+  for (int v = 0; v < versions; ++v) {
+    all["v" + std::to_string(v)] = RunVersion(v, stride);
   }
+  SetNumThreads(restore);
   return all;
 }
 
@@ -293,32 +300,42 @@ void ExpectMatchesGoldens(const GoldenMap& got, const GoldenMap& want,
 }
 
 TEST(GoldenCountersTest, SerialModeMatchesGoldens) {
-  GoldenMap got = RunAllVersions(/*parallel_blocks=*/false);
+  // One worker: every launch runs on one chunk, in block order.
+  GoldenMap got = RunAllVersions(1);
   if (std::getenv("BIOSIM_UPDATE_GOLDENS") != nullptr) {
     WriteGoldens(got, GoldenPath());
     GTEST_SKIP() << "goldens re-recorded at " << GoldenPath();
   }
-  ExpectMatchesGoldens(got, LoadGoldens(), "serial");
+  ExpectMatchesGoldens(got, LoadGoldens(), "1 worker");
 }
 
 TEST(GoldenCountersTest, ParallelBlockModeMatchesGoldens) {
-  // The parallel-block mode must be *counter-invisible*: per-block shards
-  // merged in block order reproduce the serial counters byte-identically,
-  // whatever the worker count (including 1).
+  // Block-parallel execution must be *counter-invisible*: chunks whose
+  // lines replay through the caches in block order reproduce the one-chunk
+  // counters byte-identically, whatever the worker count.
   if (std::getenv("BIOSIM_UPDATE_GOLDENS") != nullptr) {
-    GTEST_SKIP() << "goldens are recorded from the serial mode";
+    GTEST_SKIP() << "goldens are recorded at one worker";
   }
-  GoldenMap got = RunAllVersions(/*parallel_blocks=*/true);
-  ExpectMatchesGoldens(got, LoadGoldens(), "parallel-block");
+  ExpectMatchesGoldens(RunAllVersions(2), LoadGoldens(), "2 workers");
+  ExpectMatchesGoldens(RunAllVersions(4), LoadGoldens(), "4 workers");
 }
 
 TEST(GoldenCountersTest, ParallelAndSerialModesAgreeExactly) {
-  // Mode-vs-mode comparison that holds even while goldens are being
-  // re-recorded: the two execution modes are always interchangeable.
-  GoldenMap serial = RunAllVersions(/*parallel_blocks=*/false);
-  GoldenMap parallel = RunAllVersions(/*parallel_blocks=*/true);
-  EXPECT_EQ(serial == parallel, true)
-      << "parallel-block metering diverged from serial";
+  // Worker-count comparison that holds even while goldens are being
+  // re-recorded: the counters never depend on the host's workers.
+  GoldenMap one = RunAllVersions(1);
+  GoldenMap four = RunAllVersions(4);
+  EXPECT_EQ(one == four, true)
+      << "block-parallel metering diverged from one-chunk metering";
+}
+
+TEST(GoldenCountersTest, SampledCountersMatchAtEveryWorkerCount) {
+  // Stride 8, v0..v4: sampling is block-local, so the sampled counters are
+  // as worker-count-free as the exact ones — v4's two barrier phases per
+  // block included.
+  GoldenMap one = RunAllVersions(1, /*stride=*/8, /*versions=*/5);
+  EXPECT_EQ(RunAllVersions(2, 8, 5) == one, true) << "2 workers";
+  EXPECT_EQ(RunAllVersions(4, 8, 5) == one, true) << "4 workers";
 }
 
 }  // namespace
