@@ -5,13 +5,12 @@
 // `--json PATH` additionally writes BENCH_cpu.json — the perf-trajectory
 // record CI archives per commit: wall time of one mechanical-forces pass
 // over a clustered-sphere population through the generic callback path,
-// the fused CSR kernel (fused_path; physics/simd_force_kernel.h,
-// docs/perf.md "One force kernel") and its FP32 precision mode
-// (fp32_path), plus their speedups. The fused kernel owes the callback
-// path's displacement buffer bit for bit, serial and parallel; FP32 owes
-// its documented tolerance (2e-2 on one pass) — and every path owes the
-// same force-evaluation count. The run exits 2 if any bound is ever
-// exceeded, so the CI perf-smoke job doubles as a parity gate.
+// and the fused CSR kernel (fused_path; physics/simd_force_kernel.h,
+// docs/perf.md "One force kernel"), plus the fused kernel's speedup. The
+// fused kernel owes the callback path's displacement buffer bit for bit,
+// serial and parallel, and the same force-evaluation count. The run exits
+// 2 if either ever differs, so the CI perf-smoke job doubles as a parity
+// gate.
 // `--agents N` / `--reps N` resize the scenario (defaults: 32768 agents,
 // best of 5 reps).
 #include <benchmark/benchmark.h>
@@ -146,24 +145,11 @@ PathTiming TimePath(const ResourceManager& rm, const UniformGridEnvironment& env
   return t;
 }
 
-/// Max |Δ component| between two displacement buffers (same row order on
-/// every CPU path — nothing here permutes agents).
-double MaxAbsDelta(const std::vector<Double3>& ref,
-                   const std::vector<Double3>& got) {
-  double max_delta = 0.0;
-  for (size_t i = 0; i < ref.size(); ++i) {
-    max_delta = std::max(max_delta, std::fabs(got[i].x - ref[i].x));
-    max_delta = std::max(max_delta, std::fabs(got[i].y - ref[i].y));
-    max_delta = std::max(max_delta, std::fabs(got[i].z - ref[i].z));
-  }
-  return max_delta;
-}
-
 int WriteBenchJson(const std::string& path, size_t agents, int reps) {
   namespace json = biosim::obs::json;
 
   Param param;
-  param.bound_space = false;
+  param.boundary_mode = BoundaryMode::kOpen;
   ResourceManager rm;
   FillClusteredSphere(&rm, agents, /*seed=*/1234);
   UniformGridEnvironment env;
@@ -188,19 +174,6 @@ int WriteBenchJson(const std::string& path, size_t agents, int reps) {
                 fused.force_evals == fused_mt.force_evals &&
                 generic_op.displacements() == fused_serial &&
                 generic_op.displacements() == fused_op.displacements();
-
-  // The kernel's FP32 mode: same traversal and hit decisions, so the
-  // evaluation count stays equal; narrowed pair math owes the cpu_fp32
-  // parity row's bound instead of bitwise equality.
-  MechanicalForcesOp fp32_op;
-  Param fp32_param = param;
-  fp32_param.precision = Precision::kFp32;
-  PathTiming fp32 =
-      TimePath(rm, env, fp32_param, ExecMode::kSerial, reps, &fp32_op);
-  const double fp32_delta =
-      MaxAbsDelta(generic_op.displacements(), fp32_op.displacements());
-  parity = parity && fp32.force_evals == fused.force_evals &&
-           fp32_delta <= 2e-2;
 
   // A fused pass over the same population after a Z-order row permutation:
   // the cache-locality headroom of [simulation] zorder_every.
@@ -229,12 +202,7 @@ int WriteBenchJson(const std::string& path, size_t agents, int reps) {
   fu.Set("wall_ms_parallel", fused_mt.best_ms);
   fu.Set("wall_ms_zorder", fused_z.best_ms);
   doc.Set("fused_path", std::move(fu));
-  json::Value f32 = json::Value::MakeObject();
-  f32.Set("wall_ms", fp32.best_ms);
-  f32.Set("max_abs_delta", fp32_delta);
-  doc.Set("fp32_path", std::move(f32));
   doc.Set("speedup", fused.best_ms > 0.0 ? generic.best_ms / fused.best_ms : 0.0);
-  doc.Set("speedup_fp32", fp32.best_ms > 0.0 ? fused.best_ms / fp32.best_ms : 0.0);
   doc.Set("force_eval_parity", parity);
 
   if (!biosim::obs::WriteReportFile(doc, path)) {
@@ -243,25 +211,21 @@ int WriteBenchJson(const std::string& path, size_t agents, int reps) {
   }
   std::printf("wrote %s: callback %.2f ms, fused %.2f ms (%.2fx), "
               "fused parallel %.2f ms, fused+zorder %.2f ms, "
-              "fp32 %.2f ms (%.2fx, delta %.1e), "
               "%zu force evals, parity %s\n",
               path.c_str(), generic.best_ms, fused.best_ms,
               fused.best_ms > 0.0 ? generic.best_ms / fused.best_ms : 0.0,
-              fused_mt.best_ms, fused_z.best_ms, fp32.best_ms,
-              fp32.best_ms > 0.0 ? fused.best_ms / fp32.best_ms : 0.0,
-              fp32_delta, generic.force_evals, parity ? "OK" : "FAIL");
+              fused_mt.best_ms, fused_z.best_ms, generic.force_evals,
+              parity ? "OK" : "FAIL");
   if (!parity) {
     std::fprintf(stderr,
                  "error: a force path diverged from its reference "
-                 "(evals generic %zu fused %zu fused parallel %zu fp32 %zu, "
-                 "fused buffers bitwise %s/%s, fp32 delta %.3e)\n",
+                 "(evals generic %zu fused %zu fused parallel %zu, "
+                 "fused buffers bitwise %s/%s)\n",
                  generic.force_evals, fused.force_evals, fused_mt.force_evals,
-                 fp32.force_evals,
                  generic_op.displacements() == fused_serial ? "yes" : "no",
                  generic_op.displacements() == fused_op.displacements()
                      ? "yes"
-                     : "no",
-                 fp32_delta);
+                     : "no");
     return 2;
   }
   return 0;

@@ -110,13 +110,6 @@ void RunConfig::Validate() const {
     fail("shards is a CPU-pipeline knob (the GPU backend owns the whole "
          "domain)");
   }
-  if (precision != "fp64" && precision != "fp32") {
-    fail("precision must be fp64 or fp32, got '" + precision + "'");
-  }
-  if (precision == "fp32" && backend_type == "gpu") {
-    fail("precision is a CPU force-kernel knob (the GPU ladder has its own "
-         "FP32 versions)");
-  }
   if (gpu_device != "1080ti" && gpu_device != "v100") {
     fail("gpu device must be 1080ti or v100, got '" + gpu_device + "'");
   }
@@ -183,8 +176,6 @@ RunConfig ParseConfigString(const std::string& text) {
        [&](const std::string& v) {
          cfg.num_threads = ToU32(v);
        }},
-      {"precision",
-       [&](const std::string& v) { cfg.precision = v; }},
       {"zorder_every",
        [&](const std::string& v) {
          cfg.zorder_every = ToU64(v);

@@ -8,7 +8,6 @@
 //   boundary = clamp              ; clamp | torus | open
 //   threads = 0                   ; host workers (CPU pipeline and gpusim
 //                                 ; blocks); 0 = hardware concurrency
-//   precision = fp64              ; fp64 | fp32 force-kernel pair math
 //   zorder_every = 0              ; re-sort agents into Z-order every N steps
 //   shards = 0                    ; spatial domain shards (docs/sharding.md); 0=off
 //   shard_balance = static        ; static | adaptive plane-range sizing
@@ -70,11 +69,6 @@ struct RunConfig {
   /// concurrency. Overridable via --threads and the BIOSIM_THREADS env var
   /// (the CI determinism sweep varies this; results must not depend on it).
   uint32_t num_threads = 0;
-  /// Pair-math precision of the CPU force kernel: "fp64" (default; bitwise
-  /// equal to the generic reference) or "fp32" (the paper's Improvement I
-  /// on the host; the cpu_fp32 parity bound). CPU backend only — the GPU
-  /// ladder has its own FP32 versions.
-  std::string precision = "fp64";
   /// Re-sort agents into Z-order every N steps on the CPU pipeline
   /// (0 = never). Cache-locality knob; permutes rows uid-stably.
   uint64_t zorder_every = 0;

@@ -35,9 +35,6 @@ constexpr double kGpuFp64Tol = 1e-9;
 // robustness headroom without hiding real errors (a wrong kernel is off by
 // whole diameters, not hundredths).
 constexpr double kGpuFp32Tol = 2e-2;
-// Host FP32 pair math mirrors the GPU FP32 ladder (same narrowing, double
-// accumulation), so it owes the same 2e-2 bound as gpu_v1..v3.
-constexpr double kCpuFp32Tol = 2e-2;
 
 struct BackendSpec {
   const char* name;
@@ -46,8 +43,6 @@ struct BackendSpec {
   int gpu_version = 0;
   bool bitwise = false;
   double tolerance = 0.0;
-  /// FP32 pair math (Param::precision = kFp32); tolerance contract.
-  bool fp32 = false;
   /// Spatial shard count (Param::num_shards); 0 = unsharded. The sharded
   /// pipeline owes bitwise identity (docs/sharding.md), so its row carries
   /// tolerance 0 like the fused rows.
@@ -60,7 +55,6 @@ std::unique_ptr<Simulation> MakeSim(const ParityScenario& sc,
   param.random_seed = sc.seed;
   param.min_bound = 0.0;
   param.max_bound = sc.space;
-  param.precision = b.fp32 ? Precision::kFp32 : Precision::kFp64;
   param.num_shards = b.shards;
   auto sim = std::make_unique<Simulation>(param);
   sim->CreateRandomCells(sc.agents, sc.diameter);
@@ -134,10 +128,7 @@ ParityReport RunParity(const ParityScenario& scenario) {
       {"ug_parallel", Kind::kCpuReference, ExecMode::kParallel, 0, true, 0.0},
       {"cpu_fast", Kind::kCpuGrid, ExecMode::kSerial, 0, true, 0.0},
       {"cpu_fast_mt", Kind::kCpuGrid, ExecMode::kParallel, 0, true, 0.0},
-      {"cpu_sharded", Kind::kCpuGrid, ExecMode::kParallel, 0, true, 0.0, false,
-       2},
-      {"cpu_fp32", Kind::kCpuGrid, ExecMode::kSerial, 0, false, kCpuFp32Tol,
-       true},
+      {"cpu_sharded", Kind::kCpuGrid, ExecMode::kParallel, 0, true, 0.0, 2},
       {"kdtree", Kind::kCpuKdTree, ExecMode::kSerial, 0, false, kKdTreeTol},
       {"gpu_v0", Kind::kGpu, ExecMode::kSerial, 0, false, kGpuFp64Tol},
       {"gpu_v1", Kind::kGpu, ExecMode::kSerial, 1, false, kGpuFp32Tol},

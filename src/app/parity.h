@@ -4,8 +4,7 @@
 // combination the engine ships — kd-tree, uniform grid serial, uniform grid
 // parallel, the fused CSR kernel (serial and parallel), the spatially
 // sharded pipeline (cpu_sharded: two shards with halo exchange,
-// docs/sharding.md), the fused kernel's FP32 precision mode (cpu_fp32),
-// and the GPU version ladder v0..v3 — and
+// docs/sharding.md) and the GPU version ladder v0..v3 — and
 // compares each trajectory against the uniform-grid serial reference (which
 // runs the generic callback pass through ReferenceMechanicsBackend, so the
 // cpu_fast rows prove fused == callback):
@@ -16,7 +15,7 @@
 //     shard count invisible) are compared by their per-step state-hash
 //     sequences;
 //   * backends that legitimately alter individual FP operations
-//     (kd-tree traversal order; host/GPU FP32 kernels) are compared by the
+//     (kd-tree traversal order; the GPU kernels) are compared by the
 //     final per-agent positions, keyed by uid, against a documented
 //     tolerance bound.
 //

@@ -44,7 +44,6 @@ obs::json::Value ConfigJson(const RunConfig& cfg) {
   v.Set("max_displacement", cfg.max_displacement);
   v.Set("boundary", cfg.boundary);
   v.Set("threads", cfg.num_threads);
-  v.Set("precision", cfg.precision);
   v.Set("zorder_every", cfg.zorder_every);
   if (cfg.shards > 0) {
     v.Set("shards", cfg.shards);
@@ -146,8 +145,6 @@ std::unique_ptr<Simulation> BuildSimulation(const RunConfig& cfg) {
   Param param;
   param.random_seed = cfg.seed;
   param.num_threads = cfg.num_threads;
-  param.precision =
-      cfg.precision == "fp32" ? Precision::kFp32 : Precision::kFp64;
   param.zorder_cadence = static_cast<uint32_t>(cfg.zorder_every);
   param.num_shards = cfg.shards;
   param.shard_balance = cfg.shard_balance == "adaptive"
@@ -160,7 +157,7 @@ std::unique_ptr<Simulation> BuildSimulation(const RunConfig& cfg) {
   if (cfg.boundary == "torus") {
     param.boundary_mode = BoundaryMode::kTorus;
   } else if (cfg.boundary == "open") {
-    param.bound_space = false;
+    param.boundary_mode = BoundaryMode::kOpen;
   }
   if (cfg.model_type == "random_cloud") {
     // Size the cube for the requested density (benchmark-B style).
@@ -212,18 +209,6 @@ std::unique_ptr<Simulation> BuildSimulation(const RunConfig& cfg) {
 DeterminismReport VerifyDeterminism(const RunConfig& cfg) {
   cfg.Validate();
 
-  auto hash_trajectory = [](const RunConfig& run_cfg) {
-    auto sim = BuildSimulation(run_cfg);
-    std::vector<uint64_t> hashes;
-    hashes.reserve(run_cfg.steps + 1);
-    hashes.push_back(sim->StateHash());
-    for (uint64_t s = 0; s < run_cfg.steps; ++s) {
-      sim->Simulate(1);
-      hashes.push_back(sim->StateHash());
-    }
-    return hashes;
-  };
-
   // Reference, a same-config repeat (catches run-to-run scheduling
   // nondeterminism), and a single-thread run (catches any dependence on the
   // worker count; skipped when the configured count already is 1).
@@ -249,7 +234,20 @@ DeterminismReport VerifyDeterminism(const RunConfig& cfg) {
 
   DeterminismReport report;
   report.runs = static_cast<int>(runs.size());
-  std::vector<uint64_t> reference = hash_trajectory(runs[0]);
+  std::vector<uint64_t> reference;
+  {
+    auto sim = BuildSimulation(runs[0]);
+    reference.reserve(cfg.steps + 1);
+    reference.push_back(sim->StateHash());
+    for (uint64_t s = 0; s < cfg.steps; ++s) {
+      sim->Simulate(1);
+      reference.push_back(sim->StateHash());
+    }
+    if (const auto* gpu_op = dynamic_cast<const gpu::GpuMechanicalOp*>(
+            &sim->mechanics_backend())) {
+      report.simulated_ms = gpu_op->SimulatedMs();
+    }
+  }
   report.deterministic = true;
   report.final_hash = reference.back();
   for (size_t r = 1; r < runs.size(); ++r) {

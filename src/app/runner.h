@@ -47,6 +47,9 @@ struct DeterminismReport {
   uint64_t first_divergent_step = 0;
   /// Final state hash of the reference run.
   uint64_t final_hash = 0;
+  /// Simulated device time of the reference run if the backend is the GPU
+  /// offload, else 0.
+  double simulated_ms = 0.0;
   /// Number of runs compared (>= 2; includes a forced single-thread run
   /// when the configured thread count is not 1).
   int runs = 0;

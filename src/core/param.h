@@ -20,15 +20,6 @@ enum class BoundaryMode : uint8_t {
   kTorus,  // periodic: positions wrap, distances are minimum-image
 };
 
-/// Floating-point width of the CPU force kernel's pair math (the paper's
-/// Improvement I applied to the host). kFp32 narrows positions/diameters
-/// into the gather scratch and evaluates Eq. (1) in float; accumulation
-/// stays double. Tolerance contract, not bitwise (docs/determinism.md).
-enum class Precision : uint8_t {
-  kFp64,
-  kFp32,
-};
-
 /// How the spatial shard partition sizes its z-plane ranges
 /// (docs/sharding.md). Lives here rather than in spatial/ because Param
 /// carries it and core cannot depend on spatial.
@@ -49,15 +40,10 @@ struct Param {
   double max_bound = 1000.0;
   /// Face behavior. kTorus is supported by the uniform-grid environment and
   /// the CPU mechanics; the kd-tree baseline and the GPU kernels implement
-  /// the paper's clamped space only.
+  /// the paper's clamped and open spaces only. kClamp is the paper's
+  /// "bound space"; kOpen is its unbounded variant.
   BoundaryMode boundary_mode = BoundaryMode::kClamp;
-  /// Legacy switch: false is shorthand for kOpen. Kept because the paper's
-  /// benchmarks phrase it this way.
-  bool bound_space = true;
 
-  BoundaryMode EffectiveBoundary() const {
-    return bound_space ? boundary_mode : BoundaryMode::kOpen;
-  }
   double SpaceEdge() const { return max_bound - min_bound; }
 
   // --- time ------------------------------------------------------------
@@ -91,13 +77,6 @@ struct Param {
   // --- execution --------------------------------------------------------
   /// Worker threads for CPU-parallel operations; 0 = hardware concurrency.
   uint32_t num_threads = 0;
-
-  /// Pair-math precision of the CPU force kernel
-  /// (physics/simd_force_kernel.h). kFp64 is bitwise equal to the generic
-  /// callback path at every vector width. kFp32 narrows the pair math,
-  /// requires the uniform-grid environment and owes the cpu_fp32 parity
-  /// bound of 2e-2, mirroring the FP32 GPU rows.
-  Precision precision = Precision::kFp64;
 
   /// No-op; perfbench (perfbench/src/) is its only reader. It selected a
   /// patch path of the uniform grid that re-binned only box-crossing
@@ -165,9 +144,6 @@ struct Param {
     }
     if (interaction_radius_margin < 0.0) {
       fail("interaction_radius_margin must be non-negative");
-    }
-    if (boundary_mode == BoundaryMode::kTorus && !bound_space) {
-      fail("torus boundaries require bound_space");
     }
   }
 };

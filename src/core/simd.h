@@ -229,17 +229,6 @@ struct Vec {
     }
     return r;
   }
-
-  /// Per-lane static_cast<U> (e.g. FP32 contributions widened into the
-  /// FP64 accumulator).
-  template <typename U>
-  BIOSIM_SIMD_INLINE Vec<U, W> ConvertTo() const {
-    Vec<U, W> r;
-    for (int i = 0; i < W; ++i) {
-      r.lane[i] = static_cast<U>(lane[i]);
-    }
-    return r;
-  }
 };
 
 template <typename T, int W>

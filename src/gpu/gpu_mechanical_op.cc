@@ -3,7 +3,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "core/timer.h"
 #include "gpu/diagnostic_kernels.h"
 #include "obs/trace.h"
 #include "gpu/grid_build_kernels.h"
@@ -176,7 +175,7 @@ void GpuMechanicalOp::Step(ResourceManager& rm, const Environment& env,
                            const Param& param, ExecMode mode,
                            OpProfile* profile) {
   (void)env;  // the grid is rebuilt on the device each step
-  if (param.EffectiveBoundary() == BoundaryMode::kTorus) {
+  if (param.boundary_mode == BoundaryMode::kTorus) {
     throw std::invalid_argument(
         "the GPU kernels implement the paper's clamped space; torus "
         "boundaries are CPU-only");
@@ -208,10 +207,8 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
     if (options_.device_radix_sort) {
       SortOnDevice(rm, param, mode);
     } else {
-      Timer t;
       double cell = rm.LargestDiameter() + param.interaction_radius_margin;
       SortAgentsByZOrder(rm, cell, mode);
-      host_sort_ms_ += t.ElapsedMs();
 
       uint64_t elem = options_.precision == GpuPrecision::kFp32 ? 4 : 8;
       // 4-pass 16-bit-digit radix sort over (key64, idx32) pairs ...
@@ -237,8 +234,10 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
 
   GridParams<T> g;
   if (persistent) {
-    // Static grid over the bounded simulation cube: host positions may be
-    // stale, but bound space guarantees the device positions stay inside.
+    // Static grid over the simulation cube: host positions may be stale,
+    // so the grid cannot follow the population bounds. Under kClamp the
+    // device positions stay inside the cube; under kOpen an agent that
+    // leaves it bins into the nearest edge box (GridParams::Coord clamps).
     double box = options_.fixed_box_length > 0.0
                      ? options_.fixed_box_length
                      : std::max(resident_interaction_radius_, 1e-6);
@@ -357,27 +356,12 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
     // One warp per cell: block_dim/32 cells per block.
     size_t warps_per_block = options_.block_dim / 32;
     size_t blocks = (n + warps_per_block - 1) / warps_per_block;
-    std::visit(
-        [&](auto& f) {
-          if constexpr (std::is_same_v<std::decay_t<decltype(f)>,
-                                       gpusim::cuda::Runtime>) {
-            f.LaunchKernel(
-                "mech_neighbor_parallel", blocks, options_.block_dim,
-                [&](gpusim::BlockCtx& blk) {
-                  MechNeighborParallelKernelBody(blk, s, g, n, p);
-                },
-                /*block_parallel_safe=*/true);
-          } else {
-            f.EnqueueNDRangeKernel(
-                "mech_neighbor_parallel", blocks * options_.block_dim,
-                options_.block_dim,
-                [&](gpusim::BlockCtx& blk) {
-                  MechNeighborParallelKernelBody(blk, s, g, n, p);
-                },
-                /*block_parallel_safe=*/true);
-          }
+    LaunchN(
+        "mech_neighbor_parallel", blocks * options_.block_dim,
+        [&](gpusim::BlockCtx& blk) {
+          MechNeighborParallelKernelBody(blk, s, g, n, p);
         },
-        front_);
+        /*block_parallel_safe=*/true);
   } else if (options_.use_shared_memory) {
     int32_t tiles_x = (g.nx + kTileBoxes - 1) / kTileBoxes;
     int32_t tiles_y = (g.ny + kTileBoxes - 1) / kTileBoxes;
@@ -385,27 +369,10 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
     size_t tiles = static_cast<size_t>(tiles_x) * static_cast<size_t>(tiles_y) *
                    static_cast<size_t>(tiles_z);
     // One block per tile: grid_dim = tiles, block_dim = options_.block_dim.
-    std::visit(
-        [&](auto& f) {
-          if constexpr (std::is_same_v<std::decay_t<decltype(f)>,
-                                       gpusim::cuda::Runtime>) {
-            f.LaunchKernel(
-                "mech_shared", tiles, options_.block_dim,
-                [&](gpusim::BlockCtx& blk) {
-                  MechSharedKernelBody(blk, s, g, n, p);
-                },
-                /*block_parallel_safe=*/true);
-          } else {
-            f.EnqueueNDRangeKernel(
-                "mech_shared", tiles * options_.block_dim,
-                options_.block_dim,
-                [&](gpusim::BlockCtx& blk) {
-                  MechSharedKernelBody(blk, s, g, n, p);
-                },
-                /*block_parallel_safe=*/true);
-          }
-        },
-        front_);
+    LaunchN(
+        "mech_shared", tiles * options_.block_dim,
+        [&](gpusim::BlockCtx& blk) { MechSharedKernelBody(blk, s, g, n, p); },
+        /*block_parallel_safe=*/true);
   } else {
     LaunchN(
         "mech_interaction", n,
@@ -423,7 +390,7 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
     // SyncToHost().
     T lo = static_cast<T>(param.min_bound);
     T hi = static_cast<T>(param.max_bound);
-    bool bound = param.bound_space;
+    bool clamp = param.boundary_mode == BoundaryMode::kClamp;
     LaunchN("apply_displacement", n, [&](gpusim::BlockCtx& blk) {
       blk.for_each_lane([&](gpusim::Lane& t) {
         size_t i = t.gtid();
@@ -433,7 +400,7 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
         auto apply = [&](gpusim::DeviceBuffer<T>& pos,
                          gpusim::DeviceBuffer<T>& out) {
           T v = t.ld(pos, i) + t.ld(out, i);
-          if (bound) {
+          if (clamp) {
             v = std::clamp(v, lo, hi);
           }
           t.st(pos, i, v);

@@ -38,7 +38,7 @@ inline double WrapCoordinate(double v, double lo, double edge) {
 /// Keep a position inside the simulation cube per the boundary mode:
 /// clamp to the faces, wrap around (torus), or leave untouched (open).
 inline Double3 ApplyBoundSpace(const Double3& p, const Param& param) {
-  switch (param.EffectiveBoundary()) {
+  switch (param.boundary_mode) {
     case BoundaryMode::kOpen:
       return p;
     case BoundaryMode::kTorus: {

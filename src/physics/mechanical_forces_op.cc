@@ -42,13 +42,6 @@ void MechanicalForcesOp::ComputeDisplacements(const ResourceManager& rm,
                                 grid->box_length(), param, mode);
     return;
   }
-  if (param.precision == Precision::kFp32) {
-    // No silent precision change on a path the parity rows don't cover:
-    // FP32 runs in the fused kernel only.
-    throw std::invalid_argument(
-        "MechanicalForcesOp: fp32 precision requires the uniform-grid "
-        "environment (the fused kernel consumes its CSR layout)");
-  }
   ComputeDisplacementsGeneric(rm, env, param, mode);
 }
 
@@ -71,7 +64,7 @@ void MechanicalForcesOp::ComputeDisplacementsGeneric(const ResourceManager& rm,
   const double dt = param.simulation_time_step;
   const double max_disp = param.simulation_max_displacement;
   const double radius = env.interaction_radius();
-  const bool torus = param.EffectiveBoundary() == BoundaryMode::kTorus;
+  const bool torus = param.boundary_mode == BoundaryMode::kTorus;
   const double edge = param.SpaceEdge();
 
   std::atomic<size_t> evals{0};
@@ -131,13 +124,13 @@ void MechanicalForcesOp::ComputeDisplacementsSharded(
   args.repulsion = param.repulsion_coefficient;
   args.attraction = param.attraction_coefficient;
   args.r2 = interaction_radius * interaction_radius;
-  args.torus = param.EffectiveBoundary() == BoundaryMode::kTorus;
+  args.torus = param.boundary_mode == BoundaryMode::kTorus;
   args.edge = param.SpaceEdge();
   args.mode = mode;
   args.out_forces = displacements_.data();
   args.force_evaluations = &evals;
-  const detail::FusedSimdKernelFn kernel = detail::SelectFusedSimdKernel(
-      param.precision == Precision::kFp32, simd::WidthModeFromEnv());
+  const detail::FusedSimdKernelFn kernel =
+      detail::SelectFusedSimdKernel(simd::WidthModeFromEnv());
   for (const ShardForceInput& s : shards) {
     args.view = s.view;
     args.num_slots = s.num_slots;

@@ -21,13 +21,11 @@
 //     (spatial/compact_grid.h). Each occupied box gathers its 27-neighbor
 //     candidates once into SoA scratch, and every resident agent sweeps
 //     them with a vectorized distance pass and scalar contact math on the
-//     hits. In FP64 it is bitwise-identical to the generic path at every
-//     vector width and worker count: both visit each agent's neighbors in
-//     the identical canonical order (GridGeometry::ForEachNeighborCoord
-//     block order, ascending agent index within a box) and evaluate the
-//     same FP expressions on them. Precision::kFp32 narrows the pair math
-//     (the paper's Improvement I on the host) and owes the cpu_fp32 parity
-//     bound (docs/determinism.md).
+//     hits. It is bitwise-identical to the generic path at every vector
+//     width and worker count: both visit each agent's neighbors in the
+//     identical canonical order (GridGeometry::ForEachNeighborCoord block
+//     order, ascending agent index within a box) and evaluate the same FP
+//     expressions on them (docs/determinism.md).
 //
 // The unsharded grid and every spatial shard are windows of the same
 // compacted CSR, so the fused kernel has one entry
@@ -71,16 +69,12 @@ class MechanicalForcesOp {
 
   /// Compute per-agent displacements into an internal buffer: the fused
   /// kernel on a uniform grid, the generic pass on any other environment.
-  /// The environment must be up to date. Throws std::invalid_argument when
-  /// FP32 precision is requested but the environment is not a uniform grid
-  /// — the fused kernel consumes the grid's CSR layout and the generic pass
-  /// has no FP32 mode.
+  /// The environment must be up to date.
   void ComputeDisplacements(const ResourceManager& rm, const Environment& env,
                             const Param& param, ExecMode mode);
 
   /// The generic callback pass on any environment, uniform grid included:
-  /// the FP64 reference the fused kernel owes bitwise equality to.
-  /// Ignores Param::precision.
+  /// the reference the fused kernel owes bitwise equality to.
   void ComputeDisplacementsGeneric(const ResourceManager& rm,
                                    const Environment& env, const Param& param,
                                    ExecMode mode);
@@ -109,7 +103,6 @@ class MechanicalForcesOp {
 
   /// Displacement buffer (tests and the GPU-equivalence suite compare it).
   const std::vector<Double3>& displacements() const { return displacements_; }
-  std::vector<Double3>& mutable_displacements() { return displacements_; }
 
   /// Number of force evaluations in the last ComputeDisplacements call
   /// (work-count diagnostics; also drives CPU-model calibration). Identical

@@ -6,8 +6,7 @@
 // resident agent:
 //
 //   * the candidate block is gathered into 64-byte-aligned SoA component
-//     arrays (x/y/z/diameter in `T`, the compute precision) — the layout
-//     a vector loop wants;
+//     arrays (x/y/z/diameter) — the layout a vector loop wants;
 //   * the per-agent sweep is three passes. Pass 1 computes the squared
 //     distance of every candidate into a scratch stream: whole W-groups
 //     as straight-line lane math (no masks, no branches), then the last
@@ -19,13 +18,11 @@
 //     so vectorizing pass 1 is where the speedup lives; keeping the
 //     contact math scalar avoids paying vector sqrt and division on
 //     mostly-empty lane groups;
-//   * pair math runs in `T` (double, or float for the paper's
-//     Improvement-I FP32 mode); accumulation is always double.
+//   * pair math and accumulation run in double.
 //
-// Contract (docs/determinism.md): the FP64 instantiation is bitwise
-// equal to the generic callback path
-// (MechanicalForcesOp::ComputeDisplacementsGeneric with
-// SphereSphereForce / HertzForce) — forces and force_evaluations — at
+// Contract (docs/determinism.md): the kernel is bitwise equal to the
+// generic callback path (MechanicalForcesOp::ComputeDisplacementsGeneric
+// with SphereSphereForce / HertzForce) — forces and force_evaluations — at
 // every vector width and worker count. Three choices make it so:
 //   * d² is `dx*dx + dy*dy + dz*dz`, Real3::Dot's order, never an FMA
 //     chain; the per-ISA TUs build with -ffp-contract=off, so the lane
@@ -43,9 +40,8 @@
 // The body is written inline rather than through EvaluateForce /
 // MinImageVector: inline helpers instantiated in the -mavx2 TU would be
 // emitted as weak symbols that the linker may fold with copies compiled
-// for another ISA. Boxes never share accumulation state, so every mode is
-// bitwise self-consistent at any worker count; FP32 owes the cpu_fp32
-// parity bound against FP64.
+// for another ISA. Boxes never share accumulation state, so the kernel is
+// bitwise self-consistent at any worker count.
 #ifndef BIOSIM_PHYSICS_SIMD_FORCE_KERNEL_H_
 #define BIOSIM_PHYSICS_SIMD_FORCE_KERNEL_H_
 
@@ -103,19 +99,19 @@ struct FusedSimdArgs {
 /// different translation units distinct: each per-ISA TU passes its own
 /// internal-linkage tag type, so a baseline-ISA body and an AVX2 body
 /// can never be folded into one weak symbol by the linker.
-template <typename T, int W, typename Tag>
+template <int W, typename Tag>
 void RunFusedSimdKernel(const FusedSimdArgs& a) {
-  using V = simd::Vec<T, W>;
+  using V = simd::Vec<double, W>;
   constexpr size_t kW = static_cast<size_t>(W);
 
   const int32_t* starts = a.view.box_starts;
   const int32_t* agents = a.view.box_agents;
 
-  const T r2s = static_cast<T>(a.r2);
-  const T kappa = static_cast<T>(a.repulsion);
-  const T gamma = static_cast<T>(a.attraction);
-  const T edge = static_cast<T>(a.edge);
-  const T half_edge = edge / T{2};
+  const double r2 = a.r2;
+  const double kappa = a.repulsion;
+  const double gamma = a.attraction;
+  const double edge = a.edge;
+  const double half_edge = edge / 2.0;
   const V edgev = V::Broadcast(edge);
   const V half_edgev = V::Broadcast(half_edge);
   const V neg_half_edgev = V::Broadcast(-half_edge);
@@ -124,7 +120,7 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
   // MinImageVector's per-component wrap. The closure type is local to this
   // instantiation, whose Tag keeps it distinct per TU, so the linker cannot
   // fold it with another ISA's copy.
-  const auto wrap = [&](T d) {
+  const auto wrap = [&](double d) {
     d = d > half_edge ? d - edge : d;
     return d < -half_edge ? d + edge : d;
   };
@@ -132,11 +128,11 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
   ParallelForChunks(a.mode, a.num_slots, [&](size_t begin, size_t end) {
     // Per-chunk gather scratch; uninitialized capacity-managed storage,
     // overwritten for every box (core/aligned_buffer.h).
-    AlignedBuffer<T> xs_buf;
-    AlignedBuffer<T> ys_buf;
-    AlignedBuffer<T> zs_buf;
-    AlignedBuffer<T> ds_buf;
-    AlignedBuffer<T> d2s_buf;
+    AlignedBuffer<double> xs_buf;
+    AlignedBuffer<double> ys_buf;
+    AlignedBuffer<double> zs_buf;
+    AlignedBuffer<double> ds_buf;
+    AlignedBuffer<double> d2s_buf;
     AlignedBuffer<uint32_t> hidx_buf;
     size_t hits = 0;  // candidates with d² <= r², self slots excluded
     size_t blocks[27];
@@ -154,11 +150,11 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
         cand_n += static_cast<size_t>(starts[blocks[k] + 1] -
                                       starts[blocks[k]]);
       }
-      T* xs = xs_buf.EnsureCapacity(cand_n);
-      T* ys = ys_buf.EnsureCapacity(cand_n);
-      T* zs = zs_buf.EnsureCapacity(cand_n);
-      T* ds = ds_buf.EnsureCapacity(cand_n);
-      T* d2s = d2s_buf.EnsureCapacity(cand_n);
+      double* xs = xs_buf.EnsureCapacity(cand_n);
+      double* ys = ys_buf.EnsureCapacity(cand_n);
+      double* zs = zs_buf.EnsureCapacity(cand_n);
+      double* ds = ds_buf.EnsureCapacity(cand_n);
+      double* d2s = d2s_buf.EnsureCapacity(cand_n);
       uint32_t* hidx = hidx_buf.EnsureCapacity(cand_n);
       size_t w = 0;
       for (int k = 0; k < block_count; ++k) {
@@ -166,10 +162,10 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
         const int32_t nb_end = starts[nb + 1];
         for (int32_t u = starts[nb]; u < nb_end; ++u, ++w) {
           const int32_t j = agents[u];
-          xs[w] = static_cast<T>(a.positions[j].x);
-          ys[w] = static_cast<T>(a.positions[j].y);
-          zs[w] = static_cast<T>(a.positions[j].z);
-          ds[w] = static_cast<T>(a.diameters[j]);
+          xs[w] = a.positions[j].x;
+          ys[w] = a.positions[j].y;
+          zs[w] = a.positions[j].z;
+          ds[w] = a.diameters[j];
         }
       }
       const size_t full = cand_n / kW * kW;
@@ -180,10 +176,10 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
       for (int32_t t = row_begin; t < row_end; ++t) {
         const int32_t i = agents[t];
         const size_t self = own_offset + static_cast<size_t>(t - row_begin);
-        const T pix = static_cast<T>(a.positions[i].x);
-        const T piy = static_cast<T>(a.positions[i].y);
-        const T piz = static_cast<T>(a.positions[i].z);
-        const T ri = static_cast<T>(a.diameters[i]) / T{2};
+        const double pix = a.positions[i].x;
+        const double piy = a.positions[i].y;
+        const double piz = a.positions[i].z;
+        const double ri = a.diameters[i] / 2.0;
         // Pass 1: squared distance of every candidate. Whole W-groups in
         // vector lanes, the rest in the scalar tail; both evaluate the
         // same per-candidate expression, so the stream does not depend
@@ -209,9 +205,9 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
           d2.Store(d2s + u);
         }
         for (size_t u = full; u < cand_n; ++u) {
-          T dx = pix - xs[u];
-          T dy = piy - ys[u];
-          T dz = piz - zs[u];
+          double dx = pix - xs[u];
+          double dy = piy - ys[u];
+          double dz = piz - zs[u];
           if (torus) {
             dx = wrap(dx);
             dy = wrap(dy);
@@ -227,11 +223,11 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
         size_t m = 0;
         for (size_t c = 0; c < self; ++c) {
           hidx[m] = static_cast<uint32_t>(c);
-          m += static_cast<size_t>(d2s[c] <= r2s);
+          m += static_cast<size_t>(d2s[c] <= r2);
         }
         for (size_t c = self + 1; c < cand_n; ++c) {
           hidx[m] = static_cast<uint32_t>(c);
-          m += static_cast<size_t>(d2s[c] <= r2s);
+          m += static_cast<size_t>(d2s[c] <= r2);
         }
         hits += m;
         // Pass 3: contact math on the hits, in candidate order, on the
@@ -241,10 +237,10 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
         double fz = a.tractor[i].z;
         for (size_t h = 0; h < m; ++h) {
           const size_t c = hidx[h];
-          T dx = pix - xs[c];
-          T dy = piy - ys[c];
-          T dz = piz - zs[c];
-          T dist2 = d2s[c];
+          double dx = pix - xs[c];
+          double dy = piy - ys[c];
+          double dz = piz - zs[c];
+          double dist2 = d2s[c];
           if (torus) {
             // The callback shifts the neighbor to pj = pi - miv and the
             // force law takes d = pi - pj, which can differ from miv in
@@ -254,31 +250,31 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
             dz = piz - (piz - wrap(dz));
             dist2 = dx * dx + dy * dy + dz * dz;
           }
-          T cx{0};
-          T cy{0};
-          T cz{0};
-          if (!(dist2 <= T{0})) {
-            const T dist = std::sqrt(dist2);
-            const T rj = ds[c] / T{2};
-            const T delta = ri + rj - dist;
-            if (!(delta <= T{0})) {
-              const T reduced = (ri * rj) / (ri + rj);
-              T magnitude;
+          double cx = 0.0;
+          double cy = 0.0;
+          double cz = 0.0;
+          if (!(dist2 <= 0.0)) {
+            const double dist = std::sqrt(dist2);
+            const double rj = ds[c] / 2.0;
+            const double delta = ri + rj - dist;
+            if (!(delta <= 0.0)) {
+              const double reduced = (ri * rj) / (ri + rj);
+              double magnitude;
               if (hertz) {
                 magnitude =
                     kappa * std::sqrt(reduced) * delta * std::sqrt(delta);
               } else {
                 magnitude = kappa * delta - gamma * std::sqrt(reduced * delta);
               }
-              const T scale = magnitude / dist;
+              const double scale = magnitude / dist;
               cx = dx * scale;
               cy = dy * scale;
               cz = dz * scale;
             }
           }
-          fx += static_cast<double>(cx);
-          fy += static_cast<double>(cy);
-          fz += static_cast<double>(cz);
+          fx += cx;
+          fy += cy;
+          fz += cz;
         }
         a.out_forces[i] = Double3{fx, fy, fz};
       }

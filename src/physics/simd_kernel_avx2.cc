@@ -20,12 +20,8 @@ namespace {
 struct Avx2Tag {};
 }  // namespace
 
-void FusedSimdAvx2Fp64(const FusedSimdArgs& args) {
-  RunFusedSimdKernel<double, simd::kNativeLanes<double>, Avx2Tag>(args);
-}
-
-void FusedSimdAvx2Fp32(const FusedSimdArgs& args) {
-  RunFusedSimdKernel<float, simd::kNativeLanes<float>, Avx2Tag>(args);
+void FusedSimdAvx2(const FusedSimdArgs& args) {
+  RunFusedSimdKernel<simd::kNativeLanes<double>, Avx2Tag>(args);
 }
 
 }  // namespace biosim::detail

@@ -1,7 +1,7 @@
 // Native-width instantiation of the SIMD force kernel for the build's
 // baseline ISA (no -m flags beyond the toolchain default), so it runs on
 // any CPU the binary runs on. On plain x86-64 that means SSE2 codegen:
-// the lane loops still vectorize at 2 doubles / 4 floats per op, with
+// the lane loops still vectorize at 2 doubles per op, with
 // the same per-lane IEEE operations as every other TU, so forces and hit
 // counts are ISA-independent. The AVX2 TU supersedes this one at runtime
 // where available (simd_kernel_dispatch.h).
@@ -17,12 +17,8 @@ namespace {
 struct BaselineTag {};
 }  // namespace
 
-void FusedSimdBaselineFp64(const FusedSimdArgs& args) {
-  RunFusedSimdKernel<double, simd::kNativeLanes<double>, BaselineTag>(args);
-}
-
-void FusedSimdBaselineFp32(const FusedSimdArgs& args) {
-  RunFusedSimdKernel<float, simd::kNativeLanes<float>, BaselineTag>(args);
+void FusedSimdBaseline(const FusedSimdArgs& args) {
+  RunFusedSimdKernel<simd::kNativeLanes<double>, BaselineTag>(args);
 }
 
 }  // namespace biosim::detail

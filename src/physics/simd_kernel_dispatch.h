@@ -25,32 +25,28 @@
 
 namespace biosim::detail {
 
-void FusedSimdScalarWidthFp64(const FusedSimdArgs& args);
-void FusedSimdScalarWidthFp32(const FusedSimdArgs& args);
-void FusedSimdBaselineFp64(const FusedSimdArgs& args);
-void FusedSimdBaselineFp32(const FusedSimdArgs& args);
+void FusedSimdScalarWidth(const FusedSimdArgs& args);
+void FusedSimdBaseline(const FusedSimdArgs& args);
 #if defined(BIOSIM_SIMD_HAS_AVX2_TU)
-void FusedSimdAvx2Fp64(const FusedSimdArgs& args);
-void FusedSimdAvx2Fp32(const FusedSimdArgs& args);
+void FusedSimdAvx2(const FusedSimdArgs& args);
 #endif
 
 using FusedSimdKernelFn = void (*)(const FusedSimdArgs&);
 
-/// Pick the kernel for the requested precision: the W = 1 instantiation
-/// when BIOSIM_SIMD=scalar, otherwise the widest ISA this CPU supports.
-/// The choice affects performance only — every candidate kernel gives the
-/// same bits (docs/determinism.md).
-inline FusedSimdKernelFn SelectFusedSimdKernel(bool fp32,
-                                               simd::WidthMode mode) {
+/// Pick the kernel: the W = 1 instantiation when BIOSIM_SIMD=scalar,
+/// otherwise the widest ISA this CPU supports. The choice affects
+/// performance only — every candidate kernel gives the same bits
+/// (docs/determinism.md).
+inline FusedSimdKernelFn SelectFusedSimdKernel(simd::WidthMode mode) {
   if (mode == simd::WidthMode::kScalar) {
-    return fp32 ? FusedSimdScalarWidthFp32 : FusedSimdScalarWidthFp64;
+    return FusedSimdScalarWidth;
   }
 #if defined(BIOSIM_SIMD_HAS_AVX2_TU)
   if (simd::HasAvx2()) {
-    return fp32 ? FusedSimdAvx2Fp32 : FusedSimdAvx2Fp64;
+    return FusedSimdAvx2;
   }
 #endif
-  return fp32 ? FusedSimdBaselineFp32 : FusedSimdBaselineFp64;
+  return FusedSimdBaseline;
 }
 
 }  // namespace biosim::detail

@@ -30,7 +30,7 @@ GridGeometry GridGeometry::Derive(const ResourceManager& rm,
                      ? fixed_box_length
                      : std::max(g.interaction_radius, 1e-6);
 
-  g.torus = param.EffectiveBoundary() == BoundaryMode::kTorus;
+  g.torus = param.boundary_mode == BoundaryMode::kTorus;
   if (g.torus) {
     // Periodic grid: cover [min_bound, max_bound) exactly with boxes no
     // smaller than the interaction radius, so the wrapped 27-box scheme

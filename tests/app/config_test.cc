@@ -148,26 +148,17 @@ TEST(ConfigTest, ParallelBlocksAndRacyGridBuildParseAndRequireGpu) {
 }
 
 TEST(ConfigTest, SimdAndPrecisionKeysParseAndValidate) {
-  RunConfig cfg = ParseConfigString("[simulation]\nprecision = fp32\n");
-  EXPECT_EQ(cfg.precision, "fp32");
-  EXPECT_EQ(ParseConfigString("").precision, "fp64");
-  // The only precisions the kernel implements.
-  EXPECT_THROW(ParseConfigString("[simulation]\nprecision = fp16\n"),
-               std::invalid_argument);
-  // The fused kernel always runs its vector sweep, bitwise equal to the
-  // callback path, so the old opt-in switch is not a config key (an
-  // unknown key is a syntax error, not a no-op).
-  for (const char* value : {"true", "false"}) {
-    EXPECT_THROW(ParseConfigString(std::string("[simulation]\nsimd = ") +
-                                   value + "\n"),
-                 std::runtime_error)
-        << value;
+  // The fused kernel always runs its vector sweep in FP64, bitwise equal to
+  // the callback path, so neither the old opt-in switch nor a host
+  // precision is a config key (an unknown key is a syntax error, not a
+  // no-op). The GPU ladder's FP32 comes with gpu_version.
+  for (const char* key : {"simd = true", "simd = false", "precision = fp32",
+                          "precision = fp64"}) {
+    EXPECT_THROW(
+        ParseConfigString(std::string("[simulation]\n") + key + "\n"),
+        std::runtime_error)
+        << key;
   }
-  // Precision narrows the *CPU* fused kernel: the GPU ladder has its own
-  // FP32 versions.
-  EXPECT_THROW(ParseConfigString(
-                   "[simulation]\nprecision = fp32\n[backend]\ntype = gpu\n"),
-               std::invalid_argument);
 }
 
 TEST(ConfigTest, SchedulerKnobsParseAndValidate) {

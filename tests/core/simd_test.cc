@@ -229,7 +229,7 @@ void CheckMaskOps() {
 }
 
 template <typename T, int W>
-void CheckReduceAddAndConvert() {
+void CheckReduceAdd() {
   // Strict left-to-right order, witnessed by catastrophic cancellation:
   // lanes {big, 1, -big, 1} sum to exactly 1 left-to-right (big + 1
   // rounds back to big: at 2^54 the ulp is 4 in double, so +1 is below
@@ -255,12 +255,6 @@ void CheckReduceAddAndConvert() {
       want += a.lane[i];
     }
     EXPECT_TRUE(BitEqual(ReduceAdd(a), want)) << "round " << round;
-
-    using U = std::conditional_t<std::is_same_v<T, double>, float, double>;
-    const Vec<U, W> conv = a.template ConvertTo<U>();
-    for (int i = 0; i < W; ++i) {
-      EXPECT_TRUE(BitEqual(conv.lane[i], static_cast<U>(a.lane[i])));
-    }
   }
 }
 
@@ -298,8 +292,8 @@ TEST(SimdMaskTest, MaskOpsExhaustiveOverAllPatterns) {
   BIOSIM_SIMD_TEST_ALL_WIDTHS(CheckMaskOps);
 }
 
-TEST(SimdVecTest, ReduceAddIsStrictlyLeftToRightAndConvertIsStaticCast) {
-  BIOSIM_SIMD_TEST_ALL_WIDTHS(CheckReduceAddAndConvert);
+TEST(SimdVecTest, ReduceAddIsStrictlyLeftToRight) {
+  BIOSIM_SIMD_TEST_ALL_WIDTHS(CheckReduceAdd);
 }
 
 TEST(SimdVecTest, BroadcastAndZeroFillEveryLane) {

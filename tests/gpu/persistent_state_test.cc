@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "../test_util.h"
 #include "gpu/gpu_mechanical_op.h"
@@ -26,30 +27,49 @@ TEST(PersistentStateTest, IncompatibleWithPerStepSort) {
 }
 
 TEST(PersistentStateTest, MultiStepTrajectoryMatchesNonPersistent) {
-  Param param;
-  ResourceManager a, b;
-  testutil::FillRandomCells(&a, 400, 100.0, 180.0, 10.0, /*seed=*/51);
-  testutil::FillRandomCells(&b, 400, 100.0, 180.0, 10.0, /*seed=*/51);
+  struct Case {
+    BoundaryMode boundary;
+    size_t agents;
+    double lo;
+    double hi;
+    int steps;
+  };
+  const Case cases[] = {
+      // Well inside the clamped cube.
+      {BoundaryMode::kClamp, 400, 100.0, 180.0, 5},
+      // Open space, straddling the max face: agents beyond it must stay
+      // where the forces put them, not snap back onto the face.
+      {BoundaryMode::kOpen, 200, 960.0, 1040.0, 2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("agents in [" + std::to_string(c.lo) + ", " +
+                 std::to_string(c.hi) + "]^3");
+    Param param;
+    param.boundary_mode = c.boundary;
+    ResourceManager a, b;
+    testutil::FillRandomCells(&a, c.agents, c.lo, c.hi, 10.0, /*seed=*/51);
+    testutil::FillRandomCells(&b, c.agents, c.lo, c.hi, 10.0, /*seed=*/51);
 
-  GpuMechanicalOp normal(GpuMechanicsOptions::Version(1));
-  GpuMechanicalOp persistent(PersistentOpts(1));
-  NullEnvironment env;
+    GpuMechanicalOp normal(GpuMechanicsOptions::Version(1));
+    GpuMechanicalOp persistent(PersistentOpts(1));
+    NullEnvironment env;
 
-  for (int step = 0; step < 5; ++step) {
-    env.Update(a, param, ExecMode::kSerial);
-    normal.Step(a, env, param, ExecMode::kSerial, nullptr);
-    env.Update(b, param, ExecMode::kSerial);
-    persistent.Step(b, env, param, ExecMode::kSerial, nullptr);
-  }
-  persistent.SyncToHost(b);
+    for (int step = 0; step < c.steps; ++step) {
+      env.Update(a, param, ExecMode::kSerial);
+      normal.Step(a, env, param, ExecMode::kSerial, nullptr);
+      env.Update(b, param, ExecMode::kSerial);
+      persistent.Step(b, env, param, ExecMode::kSerial, nullptr);
+    }
+    persistent.SyncToHost(b);
 
-  for (size_t i = 0; i < a.size(); ++i) {
-    // The persistent path keeps positions in FP32 on the device across
-    // steps (the non-persistent path re-rounds from FP64 each upload), so
-    // allow single-precision accumulation noise.
-    ASSERT_NEAR(a.positions()[i].x, b.positions()[i].x, 1e-2);
-    ASSERT_NEAR(a.positions()[i].y, b.positions()[i].y, 1e-2);
-    ASSERT_NEAR(a.positions()[i].z, b.positions()[i].z, 1e-2);
+    for (size_t i = 0; i < a.size(); ++i) {
+      // The persistent path keeps positions in FP32 on the device across
+      // steps (the non-persistent path re-rounds from FP64 each upload),
+      // so allow single-precision accumulation noise.
+      ASSERT_NEAR(a.positions()[i].x, b.positions()[i].x, 1e-2) << i;
+      ASSERT_NEAR(a.positions()[i].y, b.positions()[i].y, 1e-2) << i;
+      ASSERT_NEAR(a.positions()[i].z, b.positions()[i].z, 1e-2) << i;
+    }
   }
 }
 

@@ -31,19 +31,18 @@ namespace biosim {
 namespace {
 
 /// Hash after construction and after each of `steps` steps, for one run of
-/// the full-pipeline scenario at the given worker count. `zorder_cadence`,
-/// `fp32` and `num_shards` plumb through the performance knobs
-/// (docs/perf.md); `reference` swaps in the generic callback backend.
+/// the full-pipeline scenario at the given worker count. `zorder_cadence`
+/// and `num_shards` plumb through the performance knobs (docs/perf.md);
+/// `reference` swaps in the generic callback backend.
 std::vector<uint64_t> HashTrajectory(uint32_t num_threads, uint64_t steps,
                                      uint64_t seed = 42,
                                      uint32_t zorder_cadence = 0,
-                                     bool reference = false, bool fp32 = false,
+                                     bool reference = false,
                                      uint32_t num_shards = 0) {
   Param p;
   p.random_seed = seed;
   p.num_threads = num_threads;
   p.zorder_cadence = zorder_cadence;
-  p.precision = fp32 ? Precision::kFp32 : Precision::kFp64;
   p.num_shards = num_shards;
   p.max_bound = 120.0;
   Simulation sim(p);
@@ -118,22 +117,13 @@ TEST(DeterminismTest, SimdPathThreadSweepIsBitwiseSelfConsistent) {
   }
 }
 
-TEST(DeterminismTest, Fp32PathThreadSweepIsBitwiseSelfConsistent) {
-  // Same self-consistency for the FP32 compute mode (the paper's
-  // Improvement I on the host): narrowed arithmetic, unchanged ordering.
-  auto reference = HashTrajectory(1, 10, 42, 0, false, /*fp32=*/true);
-  EXPECT_EQ(HashTrajectory(2, 10, 42, 0, false, true), reference);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, false, true), reference);
-}
-
 TEST(DeterminismTest, SchedulerKnobsAreBitwiseNeutral) {
   // The step's only scheduling branch is the spatial + forces phase:
   // sharded or not, with divisions and row-ordered deposits in play, it
   // must not change a single per-step hash at any worker count.
-  auto baseline = HashTrajectory(8, 10, 42, 0, false, false,
-                                 /*num_shards=*/0);
+  auto baseline = HashTrajectory(8, 10, 42, 0, false, /*num_shards=*/0);
   for (uint32_t threads : {1u, 8u}) {
-    EXPECT_EQ(HashTrajectory(threads, 10, 42, 0, false, false, 2), baseline)
+    EXPECT_EQ(HashTrajectory(threads, 10, 42, 0, false, 2), baseline)
         << "threads=" << threads;
   }
 }
@@ -201,11 +191,25 @@ int RunBiosim(const std::string& args, std::string* stdout_text = nullptr) {
 }
 
 TEST(VerifyDeterminismCliTest, ExitsZeroAndPrintsTheFinalHash) {
-  std::string out;
-  int code = RunBiosim("--steps 3 --verify-determinism", &out);
-  EXPECT_EQ(code, 0);
-  EXPECT_NE(out.find("determinism: OK"), std::string::npos) << out;
-  EXPECT_NE(out.find("final state hash"), std::string::npos) << out;
+  // The OK line carries the reference run's simulated GPU time on GPU
+  // configs only, so one run per worker count checks hash and time.
+  for (const char* backend : {"cpu", "gpu"}) {
+    std::string out;
+    int code = RunBiosim(std::string("--backend ") + backend +
+                             " --steps 3 --verify-determinism",
+                         &out);
+    EXPECT_EQ(code, 0) << backend;
+    EXPECT_NE(out.find("determinism: OK"), std::string::npos) << out;
+    EXPECT_NE(out.find("final state hash"), std::string::npos) << out;
+    const size_t at = out.find(", simulated GPU ");
+    if (std::string(backend) == "cpu") {
+      EXPECT_EQ(at, std::string::npos) << out;
+    } else {
+      ASSERT_NE(at, std::string::npos) << out;
+      EXPECT_GT(std::atof(out.c_str() + at + 16), 0.0) << out;
+      EXPECT_NE(out.find(" ms)", at), std::string::npos) << out;
+    }
+  }
 }
 
 TEST(VerifyDeterminismCliTest, ThreadsFlagDoesNotChangeTheHash) {

@@ -216,6 +216,7 @@ TEST(ObservabilityCliTest, MalformedFlagValuesExitOneWithAMessage) {
       {"--overlap-ops on", "", "unknown argument: --overlap-ops"},
       {"--simd on", "", "unknown argument: --simd"},
       {"--simd=off", "", "unknown argument: --simd"},
+      {"--precision fp32", "", "unknown argument: --precision"},
   };
   for (const Case& c : cases) {
     std::string err;

@@ -45,7 +45,7 @@ TEST_F(ParityHarnessTest, CoversEveryBackend) {
   }
   EXPECT_EQ(names, (std::set<std::string>{
                        "ug_serial", "ug_parallel", "cpu_fast", "cpu_fast_mt",
-                       "cpu_sharded", "cpu_fp32", "kdtree",
+                       "cpu_sharded", "kdtree",
                        "gpu_v0", "gpu_v1", "gpu_v2", "gpu_v3"}));
 }
 
@@ -89,17 +89,6 @@ TEST_F(ParityHarnessTest, ShardedPipelineIsBitwise) {
   EXPECT_TRUE(r.hashes_equal) << report_->ToString();
   EXPECT_EQ(r.max_abs_delta, 0.0);
   EXPECT_EQ(r.final_hash, Result("ug_serial").final_hash);
-}
-
-TEST_F(ParityHarnessTest, Fp32RowOwesToleranceNotBitwise) {
-  // The fused kernel's FP32 mode narrows the pair math
-  // (physics/simd_force_kernel.h), so it owes the FP32 GPU rows' tolerance,
-  // not hashes; the FP64 kernel is the cpu_fast rows, which owe bitwise.
-  const ParityResult& fp32 = Result("cpu_fp32");
-  EXPECT_FALSE(fp32.bitwise_required);
-  EXPECT_GT(fp32.tolerance, 0.0);
-  EXPECT_LE(fp32.max_abs_delta, 2e-2) << report_->ToString();
-  EXPECT_EQ(fp32.tolerance, Result("gpu_v1").tolerance);
 }
 
 TEST_F(ParityHarnessTest, Fp64BackendsFarTighterThanFp32Bound) {

@@ -50,14 +50,14 @@ TEST(BoundSpaceTest, ClampsIntoCube) {
   Param p;
   p.min_bound = 0.0;
   p.max_bound = 100.0;
-  p.bound_space = true;
+  p.boundary_mode = BoundaryMode::kClamp;
   EXPECT_EQ(ApplyBoundSpace({-5.0, 50.0, 105.0}, p), (Double3{0.0, 50.0, 100.0}));
   EXPECT_EQ(ApplyBoundSpace({50.0, 50.0, 50.0}, p), (Double3{50.0, 50.0, 50.0}));
 }
 
 TEST(BoundSpaceTest, DisabledLeavesPositionAlone) {
   Param p;
-  p.bound_space = false;
+  p.boundary_mode = BoundaryMode::kOpen;
   EXPECT_EQ(ApplyBoundSpace({-5.0, 500.0, 1e6}, p), (Double3{-5.0, 500.0, 1e6}));
 }
 

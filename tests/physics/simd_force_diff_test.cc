@@ -6,16 +6,14 @@
 // tractor forces with adherence, every candidate count around the vector
 // tail, both force laws. The contracts under test (docs/determinism.md):
 //
-//   * FP64 displacements equal the callback pass's *bit for bit* (signed
-//     zeros included), and so does the force-evaluation count, at
+//   * the kernel's displacements equal the callback pass's *bit for bit*
+//     (signed zeros included), and so does the force-evaluation count, at
 //     BIOSIM_SIMD=scalar and native, serial and parallel;
-//   * FP32 displacements stay within an absolute FP32 bound and report
-//     the identical force-evaluation count;
-//   * FP32 refuses non-uniform-grid environments, and the kernel refuses
-//     unknown BIOSIM_SIMD values, instead of silently falling back.
+//   * the kernel refuses unknown BIOSIM_SIMD values instead of silently
+//     falling back.
 //
 // The new cases each fail if one of the kernel's three bitwise choices is
-// undone: d² in Real3::Dot's order (every FP64 case), the sum starting at
+// undone: d² in Real3::Dot's order (every case), the sum starting at
 // the tractor force (TractorForcesAndAdherence), and the contact math on
 // the callback's operands (TorusPairWhoseShiftedSeparationDiffers,
 // ZeroForceHitsAddPositiveZero). CandidateCountsAroundTheVectorTail covers
@@ -49,13 +47,11 @@ struct PathResult {
   bool used_fast_path = false;
 };
 
-enum class Path { kGeneric, kFused, kFp32 };
+enum class Path { kGeneric, kFused };
 
-PathResult RunPath(const ResourceManager& rm, Param param, Path path,
+PathResult RunPath(const ResourceManager& rm, const Param& param, Path path,
                    ExecMode mode = ExecMode::kSerial,
                    ForceLaw law = ForceLaw::kCortex3D) {
-  param.precision =
-      path == Path::kFp32 ? Precision::kFp32 : Precision::kFp64;
   UniformGridEnvironment env;
   env.Update(rm, param, mode);
   MechanicalForcesOp op(law);
@@ -97,8 +93,6 @@ double MaxAbsComponentDiff(const std::vector<Double3>& a,
   }
   return max_diff;
 }
-
-constexpr double kFp32Tol = 1e-3;  // one pass of narrowed pair math
 
 void AddAgent(ResourceManager* rm, const Double3& pos, double diameter,
               const Double3& tractor = {}, double adherence = 0.0) {
@@ -161,9 +155,8 @@ class SimdForceDiffTest : public ::testing::Test {
     }
   }
 
-  /// The core differential: the FP64 kernel at both widths and both
-  /// execution modes is bitwise the callback pass; FP32 is within its
-  /// bound with the same evaluation count.
+  /// The core differential: the kernel at both widths and both execution
+  /// modes is bitwise the callback pass.
   void CheckAllPaths(const ResourceManager& rm, const Param& param,
                      ForceLaw law = ForceLaw::kCortex3D) {
     const PathResult generic =
@@ -186,19 +179,6 @@ class SimdForceDiffTest : public ::testing::Test {
       }
     }
     unsetenv("BIOSIM_SIMD");
-
-    const PathResult fp32 =
-        RunPath(rm, param, Path::kFp32, ExecMode::kSerial, law);
-    EXPECT_TRUE(fp32.used_fast_path);
-    EXPECT_EQ(fp32.force_evals, generic.force_evals);
-    EXPECT_LE(MaxAbsComponentDiff(generic.displacements, fp32.displacements),
-              kFp32Tol);
-    // Per-box accumulation: chunking changes nothing in FP32 either.
-    const PathResult fp32_mt =
-        RunPath(rm, param, Path::kFp32, ExecMode::kParallel, law);
-    EXPECT_EQ(FirstBitDifference(fp32.displacements, fp32_mt.displacements),
-              -1);
-    EXPECT_EQ(fp32.force_evals, fp32_mt.force_evals);
   }
 
  private:
@@ -211,7 +191,7 @@ TEST_F(SimdForceDiffTest, ClusteredBallAllPathsAgree) {
     ResourceManager rm;
     FillClusteredBall(&rm, 2000, seed);
     Param param;
-    param.bound_space = false;
+    param.boundary_mode = BoundaryMode::kOpen;
     CheckAllPaths(rm, param);
   }
 }
@@ -255,13 +235,13 @@ TEST_F(SimdForceDiffTest, HertzLawAllPathsAgree) {
   ResourceManager rm;
   FillClusteredBall(&rm, 1000, 41);
   Param param;
-  param.bound_space = false;
+  param.boundary_mode = BoundaryMode::kOpen;
   CheckAllPaths(rm, param, ForceLaw::kHertz);
 }
 
 TEST_F(SimdForceDiffTest, DegeneratePopulations) {
   Param param;
-  param.bound_space = false;
+  param.boundary_mode = BoundaryMode::kOpen;
 
   {
     // Empty world: no evaluations, no crash, empty buffer.
@@ -274,14 +254,12 @@ TEST_F(SimdForceDiffTest, DegeneratePopulations) {
     // Single agent: its self-slot must not count as an evaluation.
     ResourceManager rm;
     AddAgent(&rm, {50, 50, 50}, 8.0);
-    for (Path p : {Path::kFused, Path::kFp32}) {
-      const PathResult r = RunPath(rm, param, p);
-      EXPECT_EQ(r.force_evals, 0u);
-      ASSERT_EQ(r.displacements.size(), 1u);
-      EXPECT_EQ(r.displacements[0].x, 0.0);
-      EXPECT_EQ(r.displacements[0].y, 0.0);
-      EXPECT_EQ(r.displacements[0].z, 0.0);
-    }
+    const PathResult r = RunPath(rm, param, Path::kFused);
+    EXPECT_EQ(r.force_evals, 0u);
+    ASSERT_EQ(r.displacements.size(), 1u);
+    EXPECT_EQ(r.displacements[0].x, 0.0);
+    EXPECT_EQ(r.displacements[0].y, 0.0);
+    EXPECT_EQ(r.displacements[0].z, 0.0);
   }
   {
     // Exactly coincident centers: direction undefined, force defined as
@@ -291,14 +269,11 @@ TEST_F(SimdForceDiffTest, DegeneratePopulations) {
     AddAgent(&rm, {50, 50, 50}, 8.0);
     AddAgent(&rm, {50, 50, 50}, 8.0);
     CheckAllPaths(rm, param);
-    for (Path p : {Path::kFused, Path::kFp32}) {
-      const PathResult r = RunPath(rm, param, p);
-      EXPECT_EQ(r.force_evals, 2u);
-      EXPECT_EQ(MaxAbsComponentDiff(
-                    r.displacements,
-                    std::vector<Double3>{Double3{}, Double3{}}),
-                0.0);
-    }
+    const PathResult r = RunPath(rm, param, Path::kFused);
+    EXPECT_EQ(r.force_evals, 2u);
+    EXPECT_EQ(MaxAbsComponentDiff(r.displacements,
+                                  std::vector<Double3>{Double3{}, Double3{}}),
+              0.0);
   }
   {
     // Touching-but-not-overlapping and far-apart pairs: hit counting at
@@ -347,7 +322,7 @@ TEST_F(SimdForceDiffTest, TractorForcesAndAdherence) {
     ResourceManager rm;
     FillClusteredBall(&rm, 1500, seed, /*tractors=*/true);
     Param param;
-    param.bound_space = false;
+    param.boundary_mode = BoundaryMode::kOpen;
     CheckAllPaths(rm, param);
   }
 }
@@ -365,7 +340,7 @@ TEST_F(SimdForceDiffTest, ZeroForceHitsAddPositiveZero) {
   AddAgent(&rm, {100, 100, 100}, 2.0, tractor);
   AddAgent(&rm, {105, 100, 100}, 2.0, tractor);
   Param param;
-  param.bound_space = false;
+  param.boundary_mode = BoundaryMode::kOpen;
   CheckAllPaths(rm, param);
   const PathResult fused = RunPath(rm, param, Path::kFused);
   EXPECT_EQ(fused.force_evals, 4u);
@@ -391,44 +366,36 @@ TEST_F(SimdForceDiffTest, CandidateCountsAroundTheVectorTail) {
     }
   }
   Param param;
-  param.bound_space = false;
+  param.boundary_mode = BoundaryMode::kOpen;
   CheckAllPaths(rm, param);
 }
 
 TEST_F(SimdForceDiffTest, ResultsAreBitwiseIndependentOfVectorWidth) {
   // The W-independence claim (physics/simd_force_kernel.h): the forced
   // W=1 kernel and the native-width kernel must produce identical bits,
-  // not merely close ones, in both precisions — d² per candidate is one
-  // fixed expression regardless of grouping, and accumulation runs in
-  // candidate order.
+  // not merely close ones — d² per candidate is one fixed expression
+  // regardless of grouping, and accumulation runs in candidate order.
   ResourceManager rm;
   FillClusteredBall(&rm, 1200, 51);
   Param param;
-  param.bound_space = false;
+  param.boundary_mode = BoundaryMode::kOpen;
 
   setenv("BIOSIM_SIMD", "scalar", 1);
   const PathResult w1 = RunPath(rm, param, Path::kFused);
-  const PathResult w1_fp32 = RunPath(rm, param, Path::kFp32);
   setenv("BIOSIM_SIMD", "native", 1);
   const PathResult native = RunPath(rm, param, Path::kFused);
-  const PathResult native_fp32 = RunPath(rm, param, Path::kFp32);
 
   EXPECT_EQ(FirstBitDifference(w1.displacements, native.displacements), -1);
   EXPECT_EQ(w1.force_evals, native.force_evals);
-  EXPECT_EQ(FirstBitDifference(w1_fp32.displacements,
-                               native_fp32.displacements),
-            -1);
-  EXPECT_EQ(w1_fp32.force_evals, native_fp32.force_evals);
 }
 
 TEST_F(SimdForceDiffTest, UnknownWidthOverrideThrows) {
   ResourceManager rm;
   AddAgent(&rm, {50, 50, 50}, 8.0);
   Param param;
-  param.bound_space = false;
+  param.boundary_mode = BoundaryMode::kOpen;
   setenv("BIOSIM_SIMD", "avx512", 1);
   EXPECT_THROW(RunPath(rm, param, Path::kFused), std::invalid_argument);
-  EXPECT_THROW(RunPath(rm, param, Path::kFp32), std::invalid_argument);
   // The generic callback pass never consults the override; a bad value
   // must not break it.
   EXPECT_NO_THROW(RunPath(rm, param, Path::kGeneric));
@@ -438,15 +405,11 @@ TEST_F(SimdForceDiffTest, VectorModesRequireTheUniformGrid) {
   ResourceManager rm;
   AddAgent(&rm, {50, 50, 50}, 8.0);
   Param param;
-  param.precision = Precision::kFp32;
   KdTreeEnvironment kd;
   kd.Update(rm, param, ExecMode::kSerial);
   MechanicalForcesOp op;
-  EXPECT_THROW(op.ComputeDisplacements(rm, kd, param, ExecMode::kSerial),
-               std::invalid_argument);
-  // The FP64 request falls back to the generic path silently — that
+  // Any other environment falls back to the generic path silently — that
   // contract predates the fused kernel and must not change.
-  param.precision = Precision::kFp64;
   EXPECT_NO_THROW(op.ComputeDisplacements(rm, kd, param, ExecMode::kSerial));
   EXPECT_FALSE(op.last_used_fast_path());
 }
@@ -459,34 +422,26 @@ TEST_F(SimdForceDiffTest, ReusedOpOnShrinkingPopulationMatchesFreshOp) {
   // bytes beyond the new prefix. Any read past the freshly gathered
   // region shows up as a difference against a never-used op.
   Param param;
-  param.bound_space = false;
+  param.boundary_mode = BoundaryMode::kOpen;
 
   ResourceManager big;
   FillClusteredBall(&big, 3000, 61);
   ResourceManager small;
   FillClusteredBall(&small, 200, 62);
 
-  for (Path path : {Path::kFused, Path::kFp32}) {
-    UniformGridEnvironment env;
-    Param p = param;
-    p.precision = path == Path::kFp32 ? Precision::kFp32 : Precision::kFp64;
+  UniformGridEnvironment env;
+  MechanicalForcesOp reused;
+  env.Update(big, param, ExecMode::kSerial);
+  reused.ComputeDisplacements(big, env, param, ExecMode::kSerial);
+  env.Update(small, param, ExecMode::kSerial);
+  reused.ComputeDisplacements(small, env, param, ExecMode::kSerial);
 
-    MechanicalForcesOp reused;
-    env.Update(big, p, ExecMode::kSerial);
-    reused.ComputeDisplacements(big, env, p, ExecMode::kSerial);
-    env.Update(small, p, ExecMode::kSerial);
-    reused.ComputeDisplacements(small, env, p, ExecMode::kSerial);
+  MechanicalForcesOp fresh;
+  fresh.ComputeDisplacements(small, env, param, ExecMode::kSerial);
 
-    MechanicalForcesOp fresh;
-    fresh.ComputeDisplacements(small, env, p, ExecMode::kSerial);
-
-    EXPECT_EQ(FirstBitDifference(reused.displacements(),
-                                 fresh.displacements()),
-              -1)
-        << "path " << static_cast<int>(path);
-    EXPECT_EQ(reused.last_force_evaluations(),
-              fresh.last_force_evaluations());
-  }
+  EXPECT_EQ(FirstBitDifference(reused.displacements(), fresh.displacements()),
+            -1);
+  EXPECT_EQ(reused.last_force_evaluations(), fresh.last_force_evaluations());
 }
 
 }  // namespace

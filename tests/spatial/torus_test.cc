@@ -216,12 +216,5 @@ TEST(TorusUnsupportedTest, KdTreeAndGpuReject) {
   EXPECT_THROW(kd.Update(rm, p, ExecMode::kSerial), std::invalid_argument);
 }
 
-TEST(ParamTest2, TorusRequiresBoundSpace) {
-  Param p;
-  p.boundary_mode = BoundaryMode::kTorus;
-  p.bound_space = false;
-  EXPECT_THROW(p.Validate(), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace biosim

@@ -1,7 +1,7 @@
 // biosim_run: config-driven simulation runner.
 //
 //   biosim_run [config.ini] [--steps N] [--backend cpu|gpu] [--threads N]
-//              [--precision fp64|fp32] [--zorder-every N] [--shards N]
+//              [--zorder-every N] [--shards N]
 //              [--shard-balance static|adaptive] [--print-config]
 //              [--sanitize] [--trace FILE] [--metrics FILE]
 //              [--metrics-every N] [--report FILE] [--json]
@@ -31,8 +31,9 @@
 // scratch (twice at the configured thread count plus once single-threaded;
 // with --shards N also once unsharded and once at a different shard count),
 // hashes the full simulation state after every step, and compares the hash
-// sequences bitwise (docs/determinism.md). Prints the final state hash and
-// exits 0 when all runs are identical, 3 when they diverge. No configured
+// sequences bitwise (docs/determinism.md). Prints the final state hash (and,
+// on the GPU backend, the reference run's simulated GPU time) and exits 0
+// when all runs are identical, 3 when they diverge. No configured
 // outputs are written in this mode, except that with --flight-recorder FILE
 // a divergence dumps the last-N-step ring of the diverging run (reason
 // "determinism-divergence", with expected/actual hashes) before exiting 3.
@@ -114,8 +115,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: %s [config.ini] [--steps N] [--backend cpu|gpu] "
-                 "[--threads N] "
-                 "[--precision fp64|fp32] [--zorder-every N] "
+                 "[--threads N] [--zorder-every N] "
                  "[--shards N] [--shard-balance static|adaptive] "
                  "[--print-config] [--sanitize] [--trace FILE] "
                  "[--metrics FILE] [--metrics-every N] [--report FILE] "
@@ -150,8 +150,6 @@ int main(int argc, char** argv) {
         cfg.backend_type = value;
       } else if (FlagValue(argc, argv, &i, "--threads", &value)) {
         cfg.num_threads = Checked(flag, value, ToU32);
-      } else if (FlagValue(argc, argv, &i, "--precision", &value)) {
-        cfg.precision = value;
       } else if (FlagValue(argc, argv, &i, "--zorder-every", &value)) {
         cfg.zorder_every = Checked(flag, value, ToU64);
       } else if (FlagValue(argc, argv, &i, "--shards", &value)) {
@@ -208,9 +206,13 @@ int main(int argc, char** argv) {
         return 3;
       }
       std::printf("determinism: OK (%d runs, %llu steps, final state hash "
-                  "%016" PRIx64 ")\n",
+                  "%016" PRIx64,
                   r.runs, static_cast<unsigned long long>(cfg.steps),
                   r.final_hash);
+      if (cfg.backend_type == "gpu") {
+        std::printf(", simulated GPU %.3f ms", r.simulated_ms);
+      }
+      std::printf(")\n");
       return 0;
     }
 
